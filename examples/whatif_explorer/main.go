@@ -70,13 +70,20 @@ func main() {
 	fmt.Printf("\nindex benefit graph: %d nodes (= %d what-if calls) cover all %d configurations\n",
 		g.NodeCount(), optimizer.Calls(), 1<<g.Top().Len())
 
+	// One statistics pass yields every benefit and doi; indices outside
+	// the used union never change the cost, so their benefit is 0.
+	benefits, interactions := g.Stats(0, 1)
+	benefit := make(map[index.ID]float64, len(benefits))
+	for i, id := range g.UsedUnion().IDs() {
+		benefit[id] = benefits[i]
+	}
 	fmt.Println("\nper-index maximum benefit (βn of chooseCands):")
 	g.Top().Each(func(id index.ID) {
-		fmt.Printf("  %-38s %12.0f\n", reg.Get(id).Key(), g.MaxBenefit(id))
+		fmt.Printf("  %-38s %12.0f\n", reg.Get(id).Key(), benefit[id])
 	})
 
 	fmt.Println("\ndegrees of interaction (doi) — the raw material of stable partitions:")
-	for _, in := range g.Interactions(0) {
+	for _, in := range interactions {
 		fmt.Printf("  %-38s × %-38s doi=%.0f\n",
 			reg.Get(in.A).Key(), reg.Get(in.B).Key(), in.Doi)
 	}

@@ -177,12 +177,13 @@ func (e *Env) chooseFixedCandidates() {
 	influencedBy := make(map[index.ID][]int) // candidate -> statement indices
 	benefitTotal := make(map[index.ID]float64)
 	for i, g := range graphs {
-		g.UsedUnion().Each(func(a index.ID) {
+		benefits, _ := g.Stats(math.Inf(1), 1)
+		for k, a := range g.UsedUnion().IDs() {
 			influencedBy[a] = append(influencedBy[a], i)
-			if b := g.MaxBenefit(a); b > 0 {
+			if b := benefits[k]; b > 0 {
 				benefitTotal[a] += b
 			}
-		})
+		}
 	}
 
 	// Candidates in deterministic order.
@@ -310,7 +311,8 @@ func (e *Env) buildPartitions() {
 	// Per-graph interaction mining is independent; the totals are folded
 	// in statement order so the floating-point sums stay deterministic.
 	perGraph := par.Map(e.Options.Workers, len(e.IBGs), func(i int) []ibg.Interaction {
-		return e.IBGs[i].Interactions(1e-6)
+		_, ins := e.IBGs[i].Stats(1e-6, 1)
+		return ins
 	})
 	doiTotal := make(map[interaction.Pair]float64)
 	for _, ins := range perGraph {

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/cost"
 	"repro/internal/ibg"
 	"repro/internal/index"
-	"repro/internal/par"
 	"repro/internal/stmt"
 	"repro/internal/whatif"
 )
@@ -134,12 +134,11 @@ func (a *Analysis) run(intern bool) {
 	g := ibg.BuildWorkers(a.opt, a.stmt, a.extracted.Union(a.base), a.workers)
 	a.g = g
 	a.used = g.UsedUnion().IDs()
-	a.benefits = par.Map(a.workers, len(a.used), func(i int) float64 {
-		return g.MaxBenefit(a.used[i])
-	})
-	if !a.assumeIndependent {
-		a.interactions = g.InteractionsWorkers(a.doiThreshold, a.workers)
+	threshold := a.doiThreshold
+	if a.assumeIndependent {
+		threshold = math.Inf(1) // benefits only
 	}
+	a.benefits, a.interactions = g.Stats(threshold, a.workers)
 	a.ok = true
 }
 

@@ -301,38 +301,41 @@ func (m *Model) joinDistinct(table, column string) float64 {
 	return 1
 }
 
-// probeEntry is one resolved index-nested-loop probe option of a table
-// (keyed by the join column that drives it).
-type probeEntry struct {
-	col string
-	res probeResult
+// joinSide is one end of a join predicate, resolved once per cost call:
+// the table position, the distinct count of its join column, and the
+// index nested-loop probe into the table via that column.
+type joinSide struct {
+	pos   int
+	col   string
+	d     float64
+	probe probeResult
 }
 
 // joinLink is a join predicate resolved to table positions within one
-// cost call, so order enumeration compares small integers instead of
-// hashing table names.
+// cost call, so the join-order search compares small integers and reads
+// precomputed distinct counts and probe options instead of hashing table
+// and column names.
 type joinLink struct {
-	a, b       int // positions in planContext.tables
-	colA, colB string
+	a, b joinSide
 }
 
 // planContext holds the per-table work of one cost call — resolved
-// candidate indexes, scan and probe results, join links — indexed by
-// table position, plus the enumeration scratch. Everything the
-// join-order enumeration touches is a flat slice: the string-keyed memo
-// maps this replaces were the single largest per-optimization cost.
-// Contexts are pooled and reused across what-if optimizations.
+// candidate indexes, scan results, join links — indexed by table
+// position, plus the join-order search state. Everything the search
+// touches is a flat slice. Contexts are pooled and reused across what-if
+// optimizations.
 type planContext struct {
 	tables []string
 	avail  [][]*index.Index // resolved per table position, backing reused
 	scans  []accessResult
-	probes [][]probeEntry
 	links  []joinLink
 
-	usable []scored   // scanTable scratch
-	order  []int      // permutation scratch
-	used   []index.ID // per-order used accumulator
-	best   []index.ID // used set of the best order so far
+	usable   []scored   // scanTable scratch
+	order    []int      // permutation scratch
+	inPlan   []bool     // membership of the current plan prefix
+	used     []index.ID // used indices of the current prefix, as a stack
+	best     []index.ID // used set of the best order so far
+	bestCost float64
 }
 
 // scored is scanTable's per-index evaluation record.
@@ -351,20 +354,22 @@ func acquirePlanContext(tables []string) *planContext {
 	pc.tables = tables
 	for len(pc.avail) < n {
 		pc.avail = append(pc.avail, nil)
-		pc.probes = append(pc.probes, nil)
 	}
 	if cap(pc.scans) < n {
 		pc.scans = make([]accessResult, n)
+		pc.inPlan = make([]bool, n)
 	}
 	pc.scans = pc.scans[:n]
+	pc.inPlan = pc.inPlan[:n]
+	clear(pc.inPlan)
 	for i := 0; i < n; i++ {
 		pc.avail[i] = pc.avail[i][:0]
-		pc.probes[i] = pc.probes[i][:0]
 	}
 	pc.links = pc.links[:0]
 	pc.order = pc.order[:0]
 	pc.used = pc.used[:0]
 	pc.best = pc.best[:0]
+	pc.bestCost = math.Inf(1)
 	return pc
 }
 
@@ -374,30 +379,25 @@ type probeResult struct {
 	ok       bool
 }
 
-// ensureProbe resolves (and memoizes) the index-nested-loop probe option
-// of table position ti via joinCol.
-func (pc *planContext) ensureProbe(m *Model, s *stmt.Statement, ti int, joinCol string) {
-	for _, e := range pc.probes[ti] {
-		if e.col == joinCol {
-			return
+// resolveSide resolves one end of a join predicate. The probe option of
+// a (table, column) pair is priced once per call: a later link on the
+// same pair shares it.
+func (pc *planContext) resolveSide(m *Model, s *stmt.Statement, ti int, col string) joinSide {
+	for _, l := range pc.links {
+		if l.a.pos == ti && l.a.col == col {
+			return l.a
+		}
+		if l.b.pos == ti && l.b.col == col {
+			return l.b
 		}
 	}
-	perProbe, _, used, ok := m.probeTable(s, pc.tables[ti], joinCol, pc.avail[ti])
-	pc.probes[ti] = append(pc.probes[ti], probeEntry{
-		col: joinCol,
-		res: probeResult{perProbe: perProbe, used: used, ok: ok},
-	})
-}
-
-// probeFor returns the resolved probe option of table position ti via
-// joinCol.
-func (pc *planContext) probeFor(ti int, joinCol string) (probeResult, bool) {
-	for _, e := range pc.probes[ti] {
-		if e.col == joinCol {
-			return e.res, true
-		}
+	perProbe, _, used, ok := m.probeTable(s, pc.tables[ti], col, pc.avail[ti])
+	return joinSide{
+		pos:   ti,
+		col:   col,
+		d:     m.joinDistinct(pc.tables[ti], col),
+		probe: probeResult{perProbe: perProbe, used: used, ok: ok},
 	}
-	return probeResult{}, false
 }
 
 // queryCost prices a query by minimizing over left-deep join orders.
@@ -412,11 +412,10 @@ func (m *Model) queryCost(s *stmt.Statement, cfg index.Set) (float64, index.Set)
 		return r.cost + r.rows*m.p.CPUPerRow, index.NewSet(r.used...)
 	}
 
-	// Resolve candidate indexes, scans, join links, and probe options per
-	// table position up front. Everything is a pure function of the
-	// statement and configuration, so eager resolution prices exactly
-	// what the former lazy string-keyed memo did — without any hashing in
-	// the enumeration loop.
+	// Resolve candidate indexes, scans, and join links with their
+	// distinct counts and probe options per table position up front.
+	// Everything is a pure function of the statement and configuration,
+	// so the search below does no hashing.
 	for i, t := range tables {
 		pc.avail[i] = m.tableIndexes(cfg, t, pc.avail[i])
 		pc.scans[i] = m.scanTable(s, t, pc.avail[i], pc)
@@ -435,30 +434,31 @@ func (m *Model) queryCost(s *stmt.Statement, cfg index.Set) (float64, index.Set)
 		if a < 0 || b < 0 {
 			continue // a dangling join can never connect an order
 		}
-		pc.links = append(pc.links, joinLink{a: a, b: b, colA: j.LeftColumn, colB: j.RightColumn})
-	}
-	for _, l := range pc.links {
-		pc.ensureProbe(m, s, l.a, l.colA)
-		pc.ensureProbe(m, s, l.b, l.colB)
+		sideA := pc.resolveSide(m, s, a, j.LeftColumn)
+		sideB := pc.resolveSide(m, s, b, j.RightColumn)
+		pc.links = append(pc.links, joinLink{a: sideA, b: sideB})
 	}
 
-	bestCost := math.Inf(1)
-	tryOrder := func(order []int) {
-		cost, rows, ok := m.planOrder(pc, s, order)
-		if ok && cost < bestCost {
-			bestCost = cost + rows*m.p.CPUPerRow
-			pc.best = append(pc.best[:0], pc.used...)
-		}
-	}
 	for i := range tables {
 		pc.order = append(pc.order, i)
 	}
 	if len(tables) <= m.p.MaxPermutedTables {
-		permute(pc.order, 0, tryOrder)
+		m.searchOrders(pc, 0, 0, 0, 0)
 	} else {
-		tryOrder(pc.order)
+		// Listed order only.
+		var cost, rows float64
+		nUsed, ok := 0, true
+		for k, ti := range pc.order {
+			if cost, rows, nUsed, ok = m.enter(pc, k, ti, cost, rows, nUsed); !ok {
+				break
+			}
+			pc.inPlan[ti] = true
+		}
+		if ok {
+			m.offerOrder(pc, cost, rows, nUsed)
+		}
 	}
-	if math.IsInf(bestCost, 1) {
+	if math.IsInf(pc.bestCost, 1) {
 		// No connected order: price the cross product pessimistically.
 		var total, rows float64 = 0, 1
 		var used []index.ID
@@ -470,78 +470,97 @@ func (m *Model) queryCost(s *stmt.Statement, cfg index.Set) (float64, index.Set)
 		}
 		return total + rows*m.p.CPUPerRow, index.NewSet(used...)
 	}
-	return bestCost, index.NewSet(pc.best...)
+	return pc.bestCost, index.NewSet(pc.best...)
 }
 
-// planOrder prices one left-deep join order (given as table positions),
-// leaving the used indices of the order in pc.used. Each joined table
-// enters via the cheaper of index nested-loop (driven by a connecting
-// join predicate) or hash join; disconnected orders are rejected.
-// Membership in the partial plan is a prefix of order, so connectivity is
-// a few integer comparisons per step.
-func (m *Model) planOrder(pc *planContext, s *stmt.Statement, order []int) (cost, rows float64, ok bool) {
-	first := &pc.scans[order[0]]
-	cost = first.cost
-	rows = first.rows
-	used := append(pc.used[:0], first.used...)
-
-	for oi := 1; oi < len(order); oi++ {
-		ti := order[oi]
-		// Find a join predicate connecting ti to the tables already in
-		// the plan — exactly the positions in order[:oi]. Links are in
-		// s.Joins order, preserving the original first-match rule.
-		joinCol := ""
-		connected := false
-		for _, l := range pc.links {
-			var other int
-			var col string
-			switch ti {
-			case l.a:
-				other, col = l.b, l.colA
-			case l.b:
-				other, col = l.a, l.colB
-			default:
-				continue
-			}
-			for k := 0; k < oi; k++ {
-				if order[k] == other {
-					joinCol, connected = col, true
-					break
-				}
-			}
-			if connected {
-				break
+// searchOrders enumerates the left-deep join orders extending the plan
+// prefix pc.order[:k] depth-first, in the order of the classic in-place
+// swap permutation: at depth k, each of pc.order[k:] is swapped into
+// position k in turn. cost, rows and nUsed describe the prefix, so every
+// prefix is priced once for all orders that share it, and a prefix that
+// cannot be connected is dropped with all its completions (the full
+// order would be rejected at that same step).
+func (m *Model) searchOrders(pc *planContext, k int, cost, rows float64, nUsed int) {
+	order := pc.order
+	for i := k; i < len(order); i++ {
+		order[k], order[i] = order[i], order[k]
+		ti := order[k]
+		if c, r, nu, ok := m.enter(pc, k, ti, cost, rows, nUsed); ok {
+			if k == len(order)-1 {
+				m.offerOrder(pc, c, r, nu)
+			} else {
+				pc.inPlan[ti] = true
+				m.searchOrders(pc, k+1, c, r, nu)
+				pc.inPlan[ti] = false
 			}
 		}
-		if !connected {
-			pc.used = used
-			return 0, 0, false
-		}
-		d := m.joinDistinct(pc.tables[ti], joinCol)
-
-		stepCost := math.Inf(1)
-		var stepUsed []index.ID
-		// Index nested-loop join.
-		if pr, found := pc.probeFor(ti, joinCol); found && pr.ok {
-			if c := rows * pr.perProbe; c < stepCost {
-				stepCost = c
-				stepUsed = pr.used
-			}
-		}
-		// Hash join: scan the inner once, hash both sides.
-		inner := &pc.scans[ti]
-		hashCost := inner.cost + (rows+inner.rows)*m.p.CPUPerRow
-		if hashCost < stepCost {
-			stepCost = hashCost
-			stepUsed = inner.used
-		}
-
-		cost += stepCost
-		used = append(used, stepUsed...)
-		rows = math.Max(rows*inner.rows/d, 1e-9)
+		order[k], order[i] = order[i], order[k]
 	}
-	pc.used = used
-	return cost, rows, true
+}
+
+// offerOrder records a complete order as the best so far when its join
+// cost beats the best plan cost, which includes the final output-row
+// charge.
+func (m *Model) offerOrder(pc *planContext, cost, rows float64, nUsed int) {
+	if cost < pc.bestCost {
+		pc.bestCost = cost + rows*m.p.CPUPerRow
+		pc.best = append(pc.best[:0], pc.used[:nUsed]...)
+	}
+}
+
+// enter prices table position ti as the (k+1)-th table of a left-deep
+// plan whose first k tables are marked in pc.inPlan, with running cost,
+// output rows, and pc.used[:nUsed] as the prefix's used indices. The
+// first table enters by its standalone scan; each later one by the
+// cheaper of index nested-loop (driven by a connecting join predicate)
+// or hash join. ok is false when no join predicate connects ti to the
+// prefix. The step's used indices are pushed onto pc.used.
+func (m *Model) enter(pc *planContext, k, ti int, cost, rows float64, nUsed int) (float64, float64, int, bool) {
+	inner := &pc.scans[ti]
+	if k == 0 {
+		pc.used = append(pc.used[:0], inner.used...)
+		return inner.cost, inner.rows, len(pc.used), true
+	}
+	// Find a join predicate connecting ti to the tables already in the
+	// plan. Links are in s.Joins order, preserving the first-match rule.
+	var side *joinSide
+	for li := range pc.links {
+		l := &pc.links[li]
+		var other int
+		switch ti {
+		case l.a.pos:
+			other, side = l.b.pos, &l.a
+		case l.b.pos:
+			other, side = l.a.pos, &l.b
+		default:
+			continue
+		}
+		if pc.inPlan[other] {
+			break
+		}
+		side = nil
+	}
+	if side == nil {
+		return 0, 0, 0, false
+	}
+
+	stepCost := math.Inf(1)
+	var stepUsed []index.ID
+	// Index nested-loop join.
+	if pr := &side.probe; pr.ok {
+		if c := rows * pr.perProbe; c < stepCost {
+			stepCost = c
+			stepUsed = pr.used
+		}
+	}
+	// Hash join: scan the inner once, hash both sides.
+	hashCost := inner.cost + (rows+inner.rows)*m.p.CPUPerRow
+	if hashCost < stepCost {
+		stepCost = hashCost
+		stepUsed = inner.used
+	}
+	pc.used = append(pc.used[:nUsed], stepUsed...)
+	return cost + stepCost, math.Max(rows*inner.rows/side.d, 1e-9), len(pc.used), true
 }
 
 // updateCost prices an update: locate the affected rows via the cheapest
@@ -579,17 +598,4 @@ func containsAny(cols, targets []string) bool {
 		}
 	}
 	return false
-}
-
-// permute enumerates permutations of order[k:] in place.
-func permute(order []int, k int, visit func([]int)) {
-	if k == len(order)-1 {
-		visit(order)
-		return
-	}
-	for i := k; i < len(order); i++ {
-		order[k], order[i] = order[i], order[k]
-		permute(order, k+1, visit)
-		order[k], order[i] = order[i], order[k]
-	}
 }

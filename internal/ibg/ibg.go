@@ -10,8 +10,15 @@
 //     root and repeatedly stepping away from any used index not in X, so
 //     a single optimizer call per node answers every configuration probe.
 //  2. Indices that appear in no used set are cost-irrelevant, so benefit
-//     and degree-of-interaction analyses only enumerate subsets of the
-//     (small) union of used sets.
+//     and degree-of-interaction analyses only range over the union of
+//     used sets. Up to exactEnumBits members they enumerate every subset
+//     of it; above that they maximize over node contexts (each node's
+//     configuration) instead, not over all subsets.
+//
+// A graph whose construction hits MaxNodes is no longer exact: probes
+// that walk past the last expanded node get that node's cost, so the
+// statement's costs, benefits and doi are approximate (ROADMAP.md, item
+// 3, wide statements).
 //
 // WFIT builds one Graph per statement (line 2 of chooseCands, Figure 6)
 // and serves all subsequent cost(q, X) probes — from WFA's work-function
@@ -48,12 +55,15 @@ import (
 	"repro/internal/whatif"
 )
 
-// MaxNodes caps graph construction; beyond it the graph stops expanding
-// and lookups degrade gracefully to the deepest reached node.
+// MaxNodes caps graph construction. Past the cap the graph stops
+// expanding, and a probe whose walk needs an unexpanded child returns
+// the cost of the deepest node it reached: an approximation, not the
+// configuration's what-if cost (ROADMAP.md, item 3, wide statements).
 const MaxNodes = 4096
 
-// exactEnumBits bounds the used-union size for exact benefit and doi
-// enumeration; larger graphs fall back to node-derived contexts.
+// exactEnumBits bounds the used-union size for benefit and doi
+// maximization over every subset; larger graphs maximize over node
+// contexts only (ROADMAP.md, item 3).
 const exactEnumBits = 12
 
 // memoMaxBits bounds the used-union size for the flat cost memo; wider
@@ -82,9 +92,9 @@ type costMemo struct {
 	stamp []uint32
 	// dense is the benefit/doi statistics table: every mask's cost as a
 	// plain float64, filled in one pass (Graph.statsCosts) when the used
-	// union fits exactEnumBits. The submask enumerations behind
-	// MaxBenefit and DOI then read raw floats instead of doing an atomic
-	// dance per probe. Lazily sized, pooled with the memo.
+	// union fits exactEnumBits. The submask enumerations behind Stats and
+	// MaxBenefit then read raw floats instead of doing an atomic dance
+	// per probe. Lazily sized, pooled with the memo.
 	dense []float64
 }
 
@@ -451,16 +461,26 @@ func (g *Graph) Influences(cfg index.Set) bool {
 
 // find walks from the root to the node covering mask (used ⊆ mask).
 func (g *Graph) find(mask uint32) *node {
+	n, _ := g.walk(mask)
+	return n
+}
+
+// walk is find that also returns the union of the used masks of every
+// node on the path. The path reads mask only through those bits, so
+// toggling any other bit reaches the same node.
+func (g *Graph) walk(mask uint32) (*node, uint32) {
 	n := g.root
+	var seen uint32
 	for {
+		seen |= n.usedMask
 		rem := n.usedMask &^ mask
 		if rem == 0 || n.children == nil {
-			return n
+			return n, seen
 		}
 		child := n.children[bits.TrailingZeros32(rem)]
 		if child == nil {
 			// Truncated graph: approximate with the deepest node.
-			return n
+			return n, seen
 		}
 		n = child
 	}
@@ -516,13 +536,6 @@ func (g *Graph) CostProbe(ids []index.ID, xlat []uint32) (func(mask uint32) floa
 	return probe, relevant
 }
 
-// CostMaskFunc is CostProbe without the projection information, kept for
-// callers that only need the probe.
-func (g *Graph) CostMaskFunc(ids []index.ID) func(mask uint32) float64 {
-	probe, _ := g.CostProbe(ids, make([]uint32, len(ids)))
-	return probe
-}
-
 // Used returns the used set of the plan for configuration X.
 func (g *Graph) Used(x index.Set) index.Set {
 	return g.setOf(g.find(g.maskOf(x)).usedMask)
@@ -543,8 +556,8 @@ func (g *Graph) Benefit(a index.ID, x index.Set) float64 {
 }
 
 // MaxBenefit returns max_X benefit_q({a}, X), the βn statistic of
-// chooseCands. Exact over subsets of the used union when small; otherwise
-// maximized over node-derived contexts.
+// chooseCands, for one index. Stats computes it for every used index at
+// once; MaxBenefit serves callers that need single benefits only.
 func (g *Graph) MaxBenefit(a index.ID) float64 {
 	pos, ok := g.usedPos[a]
 	if !ok {
@@ -554,26 +567,15 @@ func (g *Graph) MaxBenefit(a index.ID) float64 {
 		return 0
 	}
 	bit := uint32(1) << pos
-	full := g.fullMask()
 	best := math.Inf(-1)
 	if dense := g.statsCosts(); dense != nil {
-		forEachSubmask(full&^bit, func(ctx uint32) {
-			ctx &^= bit
-			if b := dense[ctx] - dense[ctx|bit]; b > best {
-				best = b
-			}
-		})
+		best = denseBenefit(dense, g.fullMask(), bit)
 	} else {
-		visit := func(ctx uint32) {
-			ctx &^= bit
+		for i := range g.nodes {
+			ctx := g.nodes[i].cfgMask &^ bit
 			if b := g.CostMask(ctx) - g.CostMask(ctx|bit); b > best {
 				best = b
 			}
-		}
-		if len(g.usedIDs) <= exactEnumBits {
-			forEachSubmask(full&^bit, visit)
-		} else {
-			g.visitNodeContexts(visit)
 		}
 	}
 	if math.IsInf(best, -1) {
@@ -582,68 +584,231 @@ func (g *Graph) MaxBenefit(a index.ID) float64 {
 	return best
 }
 
-// DOI returns the degree of interaction doi_q(a, b) =
+// Stats computes the statement's benefit and doi statistics (line 3 of
+// chooseCands, Figure 6) in one pass. benefits[i] is max_X
+// benefit_q({a}, X) for the i-th member of UsedUnion().IDs() (0 when no
+// context yields a finite maximum); interactions lists every used pair
+// whose degree of interaction doi_q(a, b) =
 // max_X |cost(X) − cost(X∪{a}) − cost(X∪{b}) + cost(X∪{a,b})|
-// (the Section 2 definition expanded). Zero when either index is unused.
-func (g *Graph) DOI(a, b index.ID) float64 {
-	if a == b {
-		return 0
+// exceeds threshold, ordered by ascending A, then B. A threshold of +Inf
+// admits no pair, so the doi maximization is skipped altogether.
+//
+// When the used union fits exactEnumBits the maxima run over every
+// context X, read from the dense cost table. Wider graphs maximize over
+// node contexts instead (each node's configuration with the index bits
+// cleared): a context-major pass walks each node context c once, prices
+// c and its n single flips c^i — which give every benefit — and then
+// needs only c^i^j per pair, since the other three doi terms are among
+// the flips. Without a memo (more than memoMaxBits bits) a flip of a bit
+// outside the used masks along a walk leaves the walk unchanged, so its
+// cost is reused without walking again. Every value is the one a
+// per-index, per-pair enumeration computes — the same terms in the same
+// expression order — and maxima are order-independent, so the result is
+// identical for any worker count: up to workers goroutines (<= 0 means
+// one per CPU) split the units or contexts, and per-chunk maxima merge by
+// max.
+func (g *Graph) Stats(threshold float64, workers int) (benefits []float64, interactions []Interaction) {
+	n := len(g.usedIDs)
+	npairs := n * (n - 1) / 2
+	if math.IsInf(threshold, 1) {
+		npairs = 0
 	}
-	pa, okA := g.usedPos[a]
-	pb, okB := g.usedPos[b]
-	if !okA || !okB {
-		return 0
-	}
-	bitA, bitB := uint32(1)<<pa, uint32(1)<<pb
-	best := 0.0
+	var doi []float64
 	if dense := g.statsCosts(); dense != nil {
-		forEachSubmask(g.fullMask()&^(bitA|bitB), func(ctx uint32) {
-			ctx &^= bitA | bitB
-			v := math.Abs(dense[ctx] - dense[ctx|bitA] -
-				dense[ctx|bitB] + dense[ctx|bitA|bitB])
-			if v > best {
-				best = v
+		full := g.fullMask()
+		benefits = make([]float64, n)
+		doi = make([]float64, npairs)
+		// Unit i is index i's benefit and its row of pairs (i, j > i),
+		// which starts at row-major pair index i·(2n−i−1)/2.
+		par.Do(workers, n, func(i int) {
+			bitI := uint32(1) << i
+			benefits[i] = denseBenefit(dense, full, bitI)
+			for j, k := i+1, i*(2*n-i-1)/2; j < n && npairs > 0; j, k = j+1, k+1 {
+				doi[k] = denseDOI(dense, full, bitI, 1<<j)
 			}
 		})
 	} else {
-		visit := func(ctx uint32) {
-			ctx &^= bitA | bitB
-			v := math.Abs(g.CostMask(ctx) - g.CostMask(ctx|bitA) -
-				g.CostMask(ctx|bitB) + g.CostMask(ctx|bitA|bitB))
-			if v > best {
-				best = v
+		chunks := min(par.Workers(workers), len(g.nodes))
+		accs := make([]statsAcc, chunks)
+		par.Do(workers, chunks, func(k int) {
+			acc := &accs[k]
+			acc.init(n, npairs)
+			lo, hi := k*len(g.nodes)/chunks, (k+1)*len(g.nodes)/chunks
+			for i := lo; i < hi; i++ {
+				g.visitContext(acc, g.nodes[i].cfgMask)
+			}
+		})
+		benefits, doi = accs[0].ben, accs[0].doi
+		for _, acc := range accs[1:] {
+			for i, b := range acc.ben {
+				benefits[i] = max(benefits[i], b)
+			}
+			for k, v := range acc.doi {
+				doi[k] = max(doi[k], v)
 			}
 		}
-		if len(g.usedIDs) <= exactEnumBits {
-			forEachSubmask(g.fullMask()&^(bitA|bitB), visit)
-		} else {
-			g.visitNodeContexts(visit)
+	}
+	for i, b := range benefits {
+		if math.IsInf(b, -1) {
+			benefits[i] = 0
 		}
 	}
-	return best
+	for i, k := 0, 0; i < n && npairs > 0; i++ {
+		for j := i + 1; j < n; j++ {
+			if doi[k] > threshold {
+				interactions = append(interactions, Interaction{A: g.usedIDs[i], B: g.usedIDs[j], Doi: doi[k]})
+			}
+			k++
+		}
+	}
+	return benefits, interactions
+}
+
+// denseBenefit maximizes benefit({bit}, X) over every context X.
+func denseBenefit(dense []float64, full, bit uint32) float64 {
+	best := math.Inf(-1)
+	for ctx := full &^ bit; ; ctx = (ctx - 1) & (full &^ bit) {
+		if b := dense[ctx] - dense[ctx|bit]; b > best {
+			best = b
+		}
+		if ctx == 0 {
+			return best
+		}
+	}
+}
+
+// denseDOI maximizes the doi of the pair (bitA, bitB) over every context.
+func denseDOI(dense []float64, full, bitA, bitB uint32) float64 {
+	best := 0.0
+	rest := full &^ (bitA | bitB)
+	for ctx := rest; ; ctx = (ctx - 1) & rest {
+		v := math.Abs(dense[ctx] - dense[ctx|bitA] -
+			dense[ctx|bitB] + dense[ctx|bitA|bitB])
+		if v > best {
+			best = v
+		}
+		if ctx == 0 {
+			return best
+		}
+	}
+}
+
+// statsAcc is one chunk's running maxima in a context-major Stats pass,
+// plus the per-context flip scratch.
+type statsAcc struct {
+	ben []float64 // per used bit, from −Inf
+	doi []float64 // per pair (i, j > i) in row-major order, from 0
+	f   []float64 // f[i] = cost(c^i) for the current context c
+	u   []uint32  // u[i] = used masks along the walk of c^i (no-memo graphs)
+}
+
+func (a *statsAcc) init(n, npairs int) {
+	a.ben = make([]float64, n)
+	for i := range a.ben {
+		a.ben[i] = math.Inf(-1)
+	}
+	a.doi = make([]float64, npairs)
+	a.f = make([]float64, n)
+	a.u = make([]uint32, n)
+}
+
+// visitContext folds node context c into acc. A benefit or doi term for
+// context X = c with the index bits cleared is one of cost(c), cost(c^i)
+// or cost(c^i^j), picked by which of the bits c holds.
+func (g *Graph) visitContext(acc *statsAcc, c uint32) {
+	n := len(acc.f)
+	memo := g.memo != nil
+	var f0 float64
+	var u0 uint32
+	if memo {
+		f0 = g.CostMask(c)
+	} else {
+		n, u := g.walk(c)
+		f0, u0 = n.cost, u
+	}
+	for i := 0; i < n; i++ {
+		bit := uint32(1) << i
+		switch {
+		case memo:
+			acc.f[i] = g.CostMask(c ^ bit)
+		case u0&bit == 0:
+			acc.f[i], acc.u[i] = f0, u0
+		default:
+			n, u := g.walk(c ^ bit)
+			acc.f[i], acc.u[i] = n.cost, u
+		}
+		var b float64
+		if c&bit != 0 {
+			b = acc.f[i] - f0
+		} else {
+			b = f0 - acc.f[i]
+		}
+		if b > acc.ben[i] {
+			acc.ben[i] = b
+		}
+	}
+	if len(acc.doi) == 0 {
+		return
+	}
+	var q [4]float64 // cost of c with bit i toggled (q[1]), j (q[2]), both (q[3])
+	q[0] = f0
+	k := 0
+	for i := 0; i < n; i++ {
+		bitI := uint32(1) << i
+		q[1] = acc.f[i]
+		for j := i + 1; j < n; j++ {
+			bitJ := uint32(1) << j
+			q[2] = acc.f[j]
+			switch {
+			case memo:
+				q[3] = g.CostMask(c ^ bitI ^ bitJ)
+			case acc.u[i]&bitJ == 0:
+				q[3] = acc.f[i]
+			case acc.u[j]&bitI == 0:
+				q[3] = acc.f[j]
+			default:
+				q[3] = g.find(c ^ bitI ^ bitJ).cost
+			}
+			// s is c's own position among the four: the terms of
+			// X = c &^ (i|j) are q[0^s], q[1^s] (X∪{i}), q[2^s] (X∪{j})
+			// and q[3^s] (X∪{i,j}).
+			s := c>>i&1 | (c>>j&1)<<1
+			v := math.Abs(q[s] - q[1^s] - q[2^s] + q[3^s])
+			if v > acc.doi[k] {
+				acc.doi[k] = v
+			}
+			k++
+		}
+	}
 }
 
 // statsCosts returns a dense cost table over every used-union mask —
-// dense[m] == CostMask(m) — filled once per graph, or nil when the union
-// exceeds exactEnumBits or the memo was released. Safe for concurrent
-// use: the sync.Once fill happens-before every read.
+// dense[m] == CostMask(m) — or nil when the union exceeds exactEnumBits.
+// The table is filled once per graph and pooled with the memo; a
+// released graph gets a fresh, unshared table per call. Safe for
+// concurrent use: the sync.Once fill happens-before every read.
 func (g *Graph) statsCosts() []float64 {
 	if len(g.usedIDs) > exactEnumBits {
 		return nil
 	}
+	size := 1 << len(g.usedIDs)
+	fill := func(dense []float64) {
+		for mask := range dense {
+			dense[mask] = g.find(uint32(mask)).cost
+		}
+	}
 	m := g.memo
 	if m == nil {
-		return nil
+		dense := make([]float64, size)
+		fill(dense)
+		return dense
 	}
 	g.denseOnce.Do(func() {
-		size := 1 << len(g.usedIDs)
 		if cap(m.dense) < size {
 			m.dense = make([]float64, size)
 		}
 		m.dense = m.dense[:size]
-		for mask := 0; mask < size; mask++ {
-			m.dense[mask] = g.find(uint32(mask)).cost
-		}
+		fill(m.dense)
 	})
 	return m.dense
 }
@@ -656,61 +821,8 @@ func (g *Graph) fullMask() uint32 {
 	return (1 << len(g.usedIDs)) - 1
 }
 
-// forEachSubmask enumerates every submask of rest (including 0 and rest).
-func forEachSubmask(rest uint32, visit func(uint32)) {
-	m := rest
-	for {
-		visit(m)
-		if m == 0 {
-			return
-		}
-		m = (m - 1) & rest
-	}
-}
-
-// visitNodeContexts visits each graph node's configuration mask — the
-// fallback context pool when exact enumeration is infeasible. The node
-// slab holds every vertex exactly once, so this is a flat scan; the
-// per-call map-tracked graph walk it replaces dominated the analysis
-// tail on large statements.
-func (g *Graph) visitNodeContexts(visit func(uint32)) {
-	for i := range g.nodes {
-		visit(g.nodes[i].cfgMask)
-	}
-}
-
 // Interaction is one interacting index pair with its degree.
 type Interaction struct {
 	A, B index.ID // A < B
 	Doi  float64
-}
-
-// Interactions returns every pair of used indices with doi above the
-// threshold, ordered deterministically (ascending A, then B).
-func (g *Graph) Interactions(threshold float64) []Interaction {
-	return g.InteractionsWorkers(threshold, 1)
-}
-
-// InteractionsWorkers is Interactions with the per-pair doi maximizations
-// spread over up to workers goroutines (<= 0 means one per CPU). Pairs
-// are independent given the atomic cost memo, and results are collected
-// in pair order, so the output is identical to the serial form.
-func (g *Graph) InteractionsWorkers(threshold float64, workers int) []Interaction {
-	n := len(g.usedIDs)
-	pairs := make([][2]index.ID, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, [2]index.ID{g.usedIDs[i], g.usedIDs[j]})
-		}
-	}
-	dois := par.Map(workers, len(pairs), func(k int) float64 {
-		return g.DOI(pairs[k][0], pairs[k][1])
-	})
-	var out []Interaction
-	for k, p := range pairs {
-		if dois[k] > threshold {
-			out = append(out, Interaction{A: p[0], B: p[1], Doi: dois[k]})
-		}
-	}
-	return out
 }

@@ -119,22 +119,34 @@ func TestIBGNodeCountIsWhatIfCalls(t *testing.T) {
 }
 
 // TestDOISymmetry checks doi(a,b) == doi(b,a) (Section 2 notes this
-// follows from the definition).
+// follows from the definition): the doi Stats reports for a normalized
+// pair matches the enumeration in either argument order.
 func TestDOISymmetry(t *testing.T) {
 	opt, _, ids := testSetup(t)
 	for _, s := range []*stmt.Statement{joinQuery(), updateStmt()} {
 		g := Build(opt, s, index.NewSet(ids...))
-		used := g.UsedUnion().IDs()
-		for i := 0; i < len(used); i++ {
-			for j := i + 1; j < len(used); j++ {
-				ab := g.DOI(used[i], used[j])
-				ba := g.DOI(used[j], used[i])
-				if math.Abs(ab-ba) > 1e-9 {
-					t.Fatalf("doi asymmetric: %v vs %v", ab, ba)
-				}
+		_, ins := g.Stats(-1, 1)
+		for _, in := range ins {
+			ab := oracleDOI(g, in.A, in.B)
+			ba := oracleDOI(g, in.B, in.A)
+			if math.Abs(ab-ba) > 1e-9 || math.Abs(in.Doi-ab) > 1e-9 {
+				t.Fatalf("doi asymmetric: stats %v, (a,b) %v, (b,a) %v", in.Doi, ab, ba)
 			}
 		}
 	}
+}
+
+// doiOf returns the doi Stats reports for the pair (a, b), 0 if absent.
+func doiOf(ins []Interaction, a, b index.ID) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	for _, in := range ins {
+		if in.A == a && in.B == b {
+			return in.Doi
+		}
+	}
+	return 0
 }
 
 // TestDOIDetectsIntersectionInteraction: two single-column indices on the
@@ -147,7 +159,8 @@ func TestDOIDetectsIntersectionInteraction(t *testing.T) {
 	if !g.UsedUnion().Contains(ids[0]) || !g.UsedUnion().Contains(ids[1]) {
 		t.Skipf("intersection candidates unused in this plan space")
 	}
-	if d := g.DOI(ids[0], ids[1]); d <= 0 {
+	_, ins := g.Stats(0, 1)
+	if d := doiOf(ins, ids[0], ids[1]); d <= 0 {
 		t.Fatalf("expected positive doi for intersectable indices, got %v", d)
 	}
 }
@@ -157,24 +170,26 @@ func TestDOIZeroForUnusedIndex(t *testing.T) {
 	q := joinQuery()
 	g := Build(opt, q, index.NewSet(ids...))
 	unused := ids[6] // tpce.trade index, irrelevant
-	for _, other := range ids[:6] {
-		if d := g.DOI(unused, other); d != 0 {
-			t.Fatalf("unused index has doi %v with %v", d, other)
+	_, ins := g.Stats(-1, 1)
+	for _, in := range ins {
+		if in.A == unused || in.B == unused {
+			t.Fatalf("unused index listed as interacting: %+v", in)
 		}
-	}
-	if g.DOI(ids[0], ids[0]) != 0 {
-		t.Fatalf("doi(a,a) must be 0")
+		if in.A >= in.B {
+			t.Fatalf("pair not normalized (doi(a,a) must not appear): %+v", in)
+		}
 	}
 }
 
-// TestMaxBenefitMatchesEnumeration compares MaxBenefit against brute-force
-// maximization over all contexts.
+// TestMaxBenefitMatchesEnumeration compares MaxBenefit and the benefits
+// of Stats against brute-force maximization over all contexts.
 func TestMaxBenefitMatchesEnumeration(t *testing.T) {
 	opt, m, ids := testSetup(t)
 	for _, s := range []*stmt.Statement{joinQuery(), updateStmt()} {
 		g := Build(opt, s, index.NewSet(ids...))
 		relevant := g.Top().IDs()
-		for _, a := range g.UsedUnion().IDs() {
+		benefits, _ := g.Stats(0, 1)
+		for i, a := range g.UsedUnion().IDs() {
 			want := math.Inf(-1)
 			rest := index.NewSet(relevant...).Remove(a)
 			forEachSubset(rest, func(x index.Set) {
@@ -186,6 +201,9 @@ func TestMaxBenefitMatchesEnumeration(t *testing.T) {
 			got := g.MaxBenefit(a)
 			if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 				t.Fatalf("stmt %d MaxBenefit(%v) = %v, brute force = %v", s.ID, a, got, want)
+			}
+			if benefits[i] != got {
+				t.Fatalf("stmt %d Stats benefit of %v = %v, MaxBenefit %v", s.ID, a, benefits[i], got)
 			}
 		}
 	}
@@ -212,6 +230,7 @@ func TestDOIMatchesEnumeration(t *testing.T) {
 	g := Build(opt, q, index.NewSet(ids...))
 	used := g.UsedUnion().IDs()
 	relevant := index.NewSet(g.Top().IDs()...)
+	_, ins := g.Stats(-1, 1)
 	for i := 0; i < len(used); i++ {
 		for j := i + 1; j < len(used); j++ {
 			a, b := used[i], used[j]
@@ -224,7 +243,7 @@ func TestDOIMatchesEnumeration(t *testing.T) {
 					want = v
 				}
 			})
-			got := g.DOI(a, b)
+			got := doiOf(ins, a, b)
 			if math.Abs(got-want) > 1e-6*(1+want) {
 				t.Fatalf("DOI(%v,%v) = %v, brute force = %v", a, b, got, want)
 			}
@@ -255,8 +274,8 @@ func TestInteractionsDeterministicOrder(t *testing.T) {
 	opt, _, ids := testSetup(t)
 	q := joinQuery()
 	g := Build(opt, q, index.NewSet(ids...))
-	first := g.Interactions(0)
-	second := g.Interactions(0)
+	_, first := g.Stats(0, 1)
+	_, second := g.Stats(0, 2)
 	if len(first) != len(second) {
 		t.Fatalf("non-deterministic interaction count")
 	}
@@ -317,13 +336,13 @@ func TestParallelBuildIdenticalToSerial(t *testing.T) {
 				t.Fatalf("stmt %d cfg %v: cost %v vs %v", s.ID, cfg, cs, cp)
 			}
 		}
-		for _, a := range u {
-			if bs, bp := serial.MaxBenefit(a), parallel.MaxBenefit(a); bs != bp {
-				t.Fatalf("stmt %d idx %d: max benefit %v vs %v", s.ID, a, bs, bp)
+		bs, is := serial.Stats(1e-9, 1)
+		bp, ip := parallel.Stats(1e-9, 8)
+		for k, a := range u {
+			if bs[k] != bp[k] {
+				t.Fatalf("stmt %d idx %d: max benefit %v vs %v", s.ID, a, bs[k], bp[k])
 			}
 		}
-		is := serial.Interactions(1e-9)
-		ip := parallel.InteractionsWorkers(1e-9, 8)
 		if len(is) != len(ip) {
 			t.Fatalf("stmt %d: interaction counts differ: %d vs %d", s.ID, len(is), len(ip))
 		}
@@ -335,31 +354,12 @@ func TestParallelBuildIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestCostMaskFuncMatchesCost checks the mask-space fast path against the
-// set-based probe interface over every subset of an id slice that mixes
-// used, unused, and absent indices.
-func TestCostMaskFuncMatchesCost(t *testing.T) {
-	o, _, ids := testSetup(t)
-	q := joinQuery()
-	g := Build(o, q, index.NewSet(ids...))
-	probe := g.CostMaskFunc(ids)
-	for mask := 0; mask < 1<<len(ids); mask++ {
-		var cur []index.ID
-		for j := range ids {
-			if mask&(1<<j) != 0 {
-				cur = append(cur, ids[j])
-			}
-		}
-		if got, want := probe(uint32(mask)), g.Cost(index.NewSet(cur...)); got != want {
-			t.Fatalf("mask %b: fast path %v, set path %v", mask, got, want)
-		}
-	}
-}
-
-// TestCostProbeProjection checks the projection contract of CostProbe:
-// the relevant mask flags exactly the ids inside the used union, and the
-// probe is constant across each coset of the irrelevant bits — the
-// property that lets WFA price one representative per coset.
+// TestCostProbeProjection checks the mask-space probe of CostProbe
+// against the set-based Cost over every subset of an id slice that mixes
+// used, unused, and absent (irrelevant-table) indices, and its projection
+// contract: the relevant mask flags exactly the ids inside the used
+// union, and the probe is constant across each coset of the irrelevant
+// bits — the property that lets WFA price one representative per coset.
 func TestCostProbeProjection(t *testing.T) {
 	o, _, ids := testSetup(t)
 	q := joinQuery()
