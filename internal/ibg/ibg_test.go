@@ -354,6 +354,28 @@ func TestParallelBuildIdenticalToSerial(t *testing.T) {
 	}
 }
 
+// TestCostMaskFuncMatchesCost checks the mask-space fast path of
+// CostProbe against the set-based probe interface over every subset of
+// an id slice that mixes used, unused, and absent indices, with a fresh
+// translation table for each probe.
+func TestCostMaskFuncMatchesCost(t *testing.T) {
+	o, _, ids := testSetup(t)
+	q := joinQuery()
+	g := Build(o, q, index.NewSet(ids...))
+	probe, _ := g.CostProbe(ids, make([]uint32, len(ids)))
+	for mask := 0; mask < 1<<len(ids); mask++ {
+		var cur []index.ID
+		for j := range ids {
+			if mask&(1<<j) != 0 {
+				cur = append(cur, ids[j])
+			}
+		}
+		if got, want := probe(uint32(mask)), g.Cost(index.NewSet(cur...)); got != want {
+			t.Fatalf("mask %b: fast path %v, set path %v", mask, got, want)
+		}
+	}
+}
+
 // TestCostProbeProjection checks the mask-space probe of CostProbe
 // against the set-based Cost over every subset of an id slice that mixes
 // used, unused, and absent (irrelevant-table) indices, and its projection
