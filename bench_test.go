@@ -264,8 +264,7 @@ func BenchmarkIBGBuild(b *testing.B) {
 	}
 }
 
-// wideJoinFixture is a 5-way TPC-C join (orderline–orders–customer–
-// district–warehouse, two range predicates per table) with its extracted
+// wideJoinFixture is the 5-way datagen.TPCCJoinChain with its extracted
 // candidates and IBG: the graph stops at ibg.MaxNodes with a used union
 // wider than the cost memo covers — the shape of the wide statements that
 // dominate ad-hoc tuning time.
@@ -286,25 +285,7 @@ func wideJoinEnv(b *testing.B) *wideJoinFixture {
 	wideOnce.Do(func() {
 		cat, _ := datagen.Build()
 		model := cost.NewModel(cat, index.NewRegistry(), cost.DefaultParams())
-		q := &stmt.Statement{ID: 1, Kind: stmt.Query}
-		for _, t := range []struct{ table, c1, c2 string }{
-			{"tpcc.orderline", "ol_delivery_d", "ol_amount"},
-			{"tpcc.orders", "o_entry_d", "o_ol_cnt"},
-			{"tpcc.customer", "c_balance", "c_since"},
-			{"tpcc.district", "d_ytd", "d_next_o_id"},
-			{"tpcc.warehouse", "w_tax", "w_ytd"},
-		} {
-			q.Tables = append(q.Tables, t.table)
-			q.Preds = append(q.Preds,
-				stmt.Pred{Table: t.table, Column: t.c1, Selectivity: 0.01},
-				stmt.Pred{Table: t.table, Column: t.c2, Selectivity: 0.02})
-		}
-		q.Joins = []stmt.Join{
-			{LeftTable: "tpcc.orderline", LeftColumn: "ol_o_id", RightTable: "tpcc.orders", RightColumn: "o_id"},
-			{LeftTable: "tpcc.orders", LeftColumn: "o_c_id", RightTable: "tpcc.customer", RightColumn: "c_id"},
-			{LeftTable: "tpcc.customer", LeftColumn: "c_d_id", RightTable: "tpcc.district", RightColumn: "d_id"},
-			{LeftTable: "tpcc.district", LeftColumn: "d_w_id", RightTable: "tpcc.warehouse", RightColumn: "w_id"},
-		}
+		q := datagen.TPCCJoinChain(5)
 		cands := cost.NewExtractor(model).Extract(q)
 		g := ibg.Build(whatif.New(model), q, cands)
 		wide = &wideJoinFixture{model: model, query: q, cands: cands, graph: g}

@@ -294,36 +294,12 @@ func TestJoinOrderSearchMatchesOracle(t *testing.T) {
 	}
 }
 
-// wideTPCCJoin is a 5-way TPC-C join with two range predicates per table,
-// the shape whose IBG reaches the node cap.
-func wideTPCCJoin() *stmt.Statement {
-	chain := []struct{ table, c1, c2 string }{
-		{"tpcc.orderline", "ol_delivery_d", "ol_amount"},
-		{"tpcc.orders", "o_entry_d", "o_ol_cnt"},
-		{"tpcc.customer", "c_balance", "c_since"},
-		{"tpcc.district", "d_ytd", "d_next_o_id"},
-		{"tpcc.warehouse", "w_tax", "w_ytd"},
-	}
-	s := &stmt.Statement{ID: 5, Kind: stmt.Query, Joins: []stmt.Join{
-		{LeftTable: "tpcc.orderline", LeftColumn: "ol_o_id", RightTable: "tpcc.orders", RightColumn: "o_id"},
-		{LeftTable: "tpcc.orders", LeftColumn: "o_c_id", RightTable: "tpcc.customer", RightColumn: "c_id"},
-		{LeftTable: "tpcc.customer", LeftColumn: "c_d_id", RightTable: "tpcc.district", RightColumn: "d_id"},
-		{LeftTable: "tpcc.district", LeftColumn: "d_w_id", RightTable: "tpcc.warehouse", RightColumn: "w_id"},
-	}}
-	for _, c := range chain {
-		s.Tables = append(s.Tables, c.table)
-		s.Preds = append(s.Preds,
-			stmt.Pred{Table: c.table, Column: c.c1, Selectivity: 0.01},
-			stmt.Pred{Table: c.table, Column: c.c2, Selectivity: 0.02})
-	}
-	return s
-}
-
-// parentWideJoinAllocs is what one what-if call on wideTPCCJoin under its
-// full candidate set allocated with the enumerate-and-reprice search
-// (measured with testing.AllocsPerRun; the allocations are the used-index
-// slices of access paths and the returned set, which both searches share).
-const parentWideJoinAllocs = 23
+// oldSearchWideJoinAllocs is what one what-if call on the 5-way
+// datagen.TPCCJoinChain under its full candidate set allocated with the
+// enumerate-and-reprice search (measured with testing.AllocsPerRun; the
+// allocations are the used-index slices of access paths and the returned
+// set, which both searches share).
+const oldSearchWideJoinAllocs = 23
 
 // TestWideJoinWhatIfAllocs checks that the depth-first search, with its
 // scratch in the pooled plan context, allocates no more per what-if call
@@ -333,11 +309,11 @@ func TestWideJoinWhatIfAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	m, _, _ := newTestModel(t)
-	s := wideTPCCJoin()
+	s := datagen.TPCCJoinChain(5)
 	cfg := NewExtractor(m).Extract(s)
 	m.CostUsed(s, cfg) // warm the plan-context pool
 	got := testing.AllocsPerRun(200, func() { m.CostUsed(s, cfg) })
-	if got > parentWideJoinAllocs {
-		t.Fatalf("5-way what-if call allocates %v times, previously %v", got, parentWideJoinAllocs)
+	if got > oldSearchWideJoinAllocs {
+		t.Fatalf("5-way what-if call allocates %v times, previously %v", got, oldSearchWideJoinAllocs)
 	}
 }

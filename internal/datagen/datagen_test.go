@@ -118,3 +118,27 @@ func TestBuildSingleDataset(t *testing.T) {
 		t.Fatalf("tpch joins = %d, want 9", len(joins))
 	}
 }
+
+// TestTPCCJoinChainMatchesSchema checks that every table, predicate column
+// and join of the 5-way chain exists in the TPC-C schema and join graph.
+func TestTPCCJoinChainMatchesSchema(t *testing.T) {
+	cat, joins := Build()
+	s := TPCCJoinChain(5)
+	if len(s.Tables) != 5 || len(s.Joins) != 4 || len(s.Preds) != 10 {
+		t.Fatalf("chain has %d tables, %d joins, %d predicates", len(s.Tables), len(s.Joins), len(s.Preds))
+	}
+	for _, p := range s.Preds {
+		if tb, ok := cat.Table(p.Table); !ok || !tb.HasColumn(p.Column) {
+			t.Fatalf("predicate column %s.%s missing", p.Table, p.Column)
+		}
+	}
+	declared := map[Join]bool{}
+	for _, j := range JoinsFor(joins, TPCC) {
+		declared[j] = true
+	}
+	for _, j := range s.Joins {
+		if !declared[Join{j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn}] {
+			t.Fatalf("join %+v is not in the TPC-C join graph", j)
+		}
+	}
+}

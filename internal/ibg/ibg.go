@@ -92,9 +92,9 @@ type costMemo struct {
 	stamp []uint32
 	// dense is the benefit/doi statistics table: every mask's cost as a
 	// plain float64, filled in one pass (Graph.statsCosts) when the used
-	// union fits exactEnumBits. The submask enumerations behind Stats and
-	// MaxBenefit then read raw floats instead of doing an atomic dance
-	// per probe. Lazily sized, pooled with the memo.
+	// union fits exactEnumBits. The submask enumerations behind Stats then
+	// read raw floats instead of doing an atomic dance per probe. Lazily
+	// sized, pooled with the memo.
 	dense []float64
 }
 
@@ -553,35 +553,6 @@ func (g *Graph) Benefit(a index.ID, x index.Set) float64 {
 	}
 	m := g.maskOf(x) &^ (1 << pos)
 	return g.CostMask(m) - g.CostMask(m|(1<<pos))
-}
-
-// MaxBenefit returns max_X benefit_q({a}, X), the βn statistic of
-// chooseCands, for one index. Stats computes it for every used index at
-// once; MaxBenefit serves callers that need single benefits only.
-func (g *Graph) MaxBenefit(a index.ID) float64 {
-	pos, ok := g.usedPos[a]
-	if !ok {
-		// Never used by any plan: the index cannot improve the
-		// statement. (Maintained indices on updates are part of used
-		// sets, so harmful indices do not take this branch.)
-		return 0
-	}
-	bit := uint32(1) << pos
-	best := math.Inf(-1)
-	if dense := g.statsCosts(); dense != nil {
-		best = denseBenefit(dense, g.fullMask(), bit)
-	} else {
-		for i := range g.nodes {
-			ctx := g.nodes[i].cfgMask &^ bit
-			if b := g.CostMask(ctx) - g.CostMask(ctx|bit); b > best {
-				best = b
-			}
-		}
-	}
-	if math.IsInf(best, -1) {
-		return 0
-	}
-	return best
 }
 
 // Stats computes the statement's benefit and doi statistics (line 3 of

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/datagen"
 	"repro/internal/index"
-	"repro/internal/stmt"
 	"repro/internal/whatif"
 )
 
@@ -88,37 +87,15 @@ func oracleInteractions(g *Graph, threshold float64) []Interaction {
 	return out
 }
 
-// tpccChain builds a k-way TPC-C join (1 ≤ k ≤ 5) along
-// orderline–orders–customer–district–warehouse with two range predicates
-// per table, and its IBG over the extracted candidates. The used union
-// grows with k: 11 bits at k = 2 (dense statistics table), 17 at k = 3
-// (cost memo, no dense table), and at k = 5 the graph is cut at MaxNodes
-// with 23 used bits (no memo).
+// tpccChain builds the IBG of datagen.TPCCJoinChain(k) over its extracted
+// candidates. The used union grows with k: 11 bits at k = 2 (dense
+// statistics table), 17 at k = 3 (cost memo, no dense table), and at
+// k = 5 the graph is cut at MaxNodes with 23 used bits (no memo).
 func tpccChain(t testing.TB, k int) *Graph {
 	t.Helper()
 	cat, _ := datagen.Build()
-	reg := index.NewRegistry()
-	m := cost.NewModel(cat, reg, cost.DefaultParams())
-	chain := []struct{ table, c1, c2 string }{
-		{"tpcc.orderline", "ol_delivery_d", "ol_amount"},
-		{"tpcc.orders", "o_entry_d", "o_ol_cnt"},
-		{"tpcc.customer", "c_balance", "c_since"},
-		{"tpcc.district", "d_ytd", "d_next_o_id"},
-		{"tpcc.warehouse", "w_tax", "w_ytd"},
-	}
-	joins := []stmt.Join{
-		{LeftTable: "tpcc.orderline", LeftColumn: "ol_o_id", RightTable: "tpcc.orders", RightColumn: "o_id"},
-		{LeftTable: "tpcc.orders", LeftColumn: "o_c_id", RightTable: "tpcc.customer", RightColumn: "c_id"},
-		{LeftTable: "tpcc.customer", LeftColumn: "c_d_id", RightTable: "tpcc.district", RightColumn: "d_id"},
-		{LeftTable: "tpcc.district", LeftColumn: "d_w_id", RightTable: "tpcc.warehouse", RightColumn: "w_id"},
-	}
-	s := &stmt.Statement{ID: k, Kind: stmt.Query, Joins: joins[:k-1]}
-	for _, c := range chain[:k] {
-		s.Tables = append(s.Tables, c.table)
-		s.Preds = append(s.Preds,
-			stmt.Pred{Table: c.table, Column: c.c1, Selectivity: 0.01},
-			stmt.Pred{Table: c.table, Column: c.c2, Selectivity: 0.02})
-	}
+	m := cost.NewModel(cat, index.NewRegistry(), cost.DefaultParams())
+	s := datagen.TPCCJoinChain(k)
 	return Build(whatif.New(m), s, cost.NewExtractor(m).Extract(s))
 }
 

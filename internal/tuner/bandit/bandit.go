@@ -194,12 +194,8 @@ func (a *analysis) run(intern bool) {
 	eval := a.extracted.Union(a.evalBase)
 	g := ibg.BuildWorkers(a.t.opt, a.st, eval, a.workers)
 	a.nodes = g.NodeCount()
-	used := g.UsedUnion()
-	a.used = used.IDs()
-	a.benefits = make([]float64, len(a.used))
-	for i, id := range a.used {
-		a.benefits[i] = g.MaxBenefit(id)
-	}
+	a.used = g.UsedUnion().IDs()
+	a.benefits, _ = g.Stats(math.Inf(1), a.workers)
 	g.Release()
 	a.ok = true
 	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
