@@ -385,6 +385,7 @@ func BenchmarkChoosePartition(b *testing.B) {
 	}
 	doiFn := func(a, b index.ID) float64 { return doi[interaction.MakePair(a, b)] }
 	d := index.NewSet(ids...)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pt := &interaction.Partitioner{

@@ -360,9 +360,9 @@ func runPerf(env *bench.Env, outPath string, service, pipeline, obsBench bool, s
 	r.Soak = soak
 	r.Gauntlet = gauntlet
 	show := func(label string, s *bench.PerfSide) {
-		fmt.Printf("  %-8s %8.1f µs/stmt (p50 %.1f, p90 %.1f, p99 %.1f, max %.1f), %d what-if calls, cache hit rate %.1f%%\n",
+		fmt.Printf("  %-8s %8.1f µs/stmt (p50 %.1f, p90 %.1f, p99 %.1f, max %.1f), %d what-if calls\n",
 			label, s.USPerStmtMean, s.USPerStmtP50, s.USPerStmtP90, s.USPerStmtP99, s.USPerStmtMax,
-			s.WhatIfCalls, 100*s.CacheHitRate)
+			s.WhatIfCalls)
 		fmt.Printf("  %-8s %8.0f allocs/stmt, %.0f bytes/stmt mean (p50 %.0f, p90 %.0f, max %.0f)\n",
 			"", s.AllocsPerStmtMean, s.BytesPerStmtMean,
 			s.BytesPerStmtP50, s.BytesPerStmtP90, s.BytesPerStmtMax)

@@ -35,12 +35,8 @@ type PerfSide struct {
 	BytesPerStmtP50   float64 `json:"bytes_per_stmt_p50"`
 	BytesPerStmtP90   float64 `json:"bytes_per_stmt_p90"`
 	BytesPerStmtMax   float64 `json:"bytes_per_stmt_max"`
-	// WhatIfCalls counts real optimizer invocations; CacheHits counts
-	// probes served by the what-if cache; CacheHitRate is
-	// hits / (hits + calls).
-	WhatIfCalls  int64   `json:"whatif_calls"`
-	CacheHits    int64   `json:"cache_hits"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
+	// WhatIfCalls counts optimizer invocations.
+	WhatIfCalls int64 `json:"whatif_calls"`
 	// WhatIfPerStmt summarizes IBG sizes (= what-if calls per statement).
 	WhatIfPerStmt Overhead `json:"whatif_per_stmt"`
 	// FinalRatio is totWork(OPT)/totWork after the whole workload — the
@@ -123,15 +119,11 @@ func (e *Env) RunPerf(workers int) *PerfSide {
 		WallMSTotal:        float64(run.AnalyzeTime.Microseconds()) / 1e3,
 		PerStmtWallUS:      make([]float64, n),
 		WhatIfCalls:        algo.WhatIfCalls(),
-		CacheHits:          algo.Optimizer().Hits(),
 		WhatIfPerStmt:      NewOverhead(algo.IBGNodeCounts()),
 		FinalRatio:         run.Ratio[len(run.Ratio)-1],
 		TotalWork:          run.TotWork[len(run.TotWork)-1],
 		OptNormalizedRatio: run.Ratio,
 		totWork:            run.TotWork,
-	}
-	if probes := side.WhatIfCalls + side.CacheHits; probes > 0 {
-		side.CacheHitRate = float64(side.CacheHits) / float64(probes)
 	}
 	sorted := make([]float64, n)
 	for i, d := range run.StmtAnalyze {

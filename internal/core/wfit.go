@@ -85,19 +85,6 @@ type WFIT struct {
 	partn    *interaction.Partitioner
 	rng      *interaction.Rand // the partitioner's random source (snapshot state)
 
-	// Per-statement doi cache, flat over (i, j) position pairs within the
-	// current candidate set d — |d| is bounded by IdxCnt plus the
-	// materialized set, so the pair table stays small no matter how large
-	// the mined universe grows. Positions resolve through an
-	// epoch-stamped id→position table (linear in the registry, refreshed
-	// in O(|d|) per statement).
-	doiIDs      []index.ID
-	doiVals     []float64
-	doiSeen     []bool
-	doiPos      []int32
-	doiPosStamp []uint32
-	doiPosEpoch uint32
-
 	scoreScratch []scoredCandidate // chooseTop scratch
 
 	partition interaction.Partition
@@ -324,70 +311,18 @@ func (t *WFIT) activePins() index.Set {
 	return index.NewSet(ids...)
 }
 
-// doiFunc returns the current degree-of-interaction estimator over the
-// candidate set d, honoring the independence assumption and the doi
-// threshold. The estimator is a pure function of (pair, t.n), and
-// choosePartition asks for the same pairs across its baseline evaluation
-// and every randomized restart, so values are memoized for the duration
-// of the statement — identical numbers, one history-window scan per pair
-// instead of ten. The memo is a flat |d|×|d| table indexed by position
-// in d; pairs outside d (which choosePartition never asks for) fall
-// through to an uncached evaluation.
-func (t *WFIT) doiFunc(d index.Set) interaction.DoiFunc {
+// doiFunc returns the current degree-of-interaction estimator, honoring
+// the independence assumption and the doi threshold. choosePartition asks
+// it once per candidate pair per statement.
+func (t *WFIT) doiFunc() interaction.DoiFunc {
 	if t.options.AssumeIndependent {
 		return func(a, b index.ID) float64 { return 0 }
 	}
-	t.doiIDs = append(t.doiIDs[:0], d.IDs()...)
-	n := len(t.doiIDs)
-	if cap(t.doiVals) < n*n {
-		t.doiVals = make([]float64, n*n)
-		t.doiSeen = make([]bool, n*n)
-	}
-	t.doiVals = t.doiVals[:n*n]
-	t.doiSeen = t.doiSeen[:n*n]
-	clear(t.doiSeen)
-	if need := t.reg.Len() + 1; len(t.doiPos) < need {
-		t.doiPos = make([]int32, (need+63)&^63)
-		t.doiPosStamp = make([]uint32, len(t.doiPos))
-		t.doiPosEpoch = 0
-	}
-	t.doiPosEpoch++
-	if t.doiPosEpoch == 0 {
-		clear(t.doiPosStamp)
-		t.doiPosEpoch = 1
-	}
-	for i, id := range t.doiIDs {
-		t.doiPos[id] = int32(i)
-		t.doiPosStamp[id] = t.doiPosEpoch
-	}
-	posEpoch := t.doiPosEpoch
-	pos := func(id index.ID) int {
-		if int(id) < len(t.doiPosStamp) && t.doiPosStamp[id] == posEpoch {
-			return int(t.doiPos[id])
-		}
-		return -1
-	}
-	current := func(a, b index.ID) float64 {
+	return func(a, b index.ID) float64 {
 		v := t.intStats.Current(a, b, t.n)
 		if v <= t.options.DoiThreshold {
 			return 0
 		}
-		return v
-	}
-	return func(a, b index.ID) float64 {
-		i, j := pos(a), pos(b)
-		if i < 0 || j < 0 {
-			return current(a, b)
-		}
-		k := i*n + j
-		if t.doiSeen[k] {
-			return t.doiVals[k]
-		}
-		v := current(a, b)
-		t.doiVals[k] = v
-		t.doiSeen[k] = true
-		t.doiVals[j*n+i] = v
-		t.doiSeen[j*n+i] = true
 		return v
 	}
 }
@@ -546,9 +481,8 @@ func (t *WFIT) repartition(newPartition interaction.Partition) {
 // retained structure: candidate sets, the stable partition, the per-part
 // WFA bit assignments (relative bit positions survive because the remap
 // is monotone, so work-function tables and recommendation masks are
-// untouched), the benefit/interaction histories, the vote pins, and the
-// what-if cache (invalidated — its keys embed the old IDs). It returns
-// the number of definitions dropped.
+// untouched), the benefit/interaction histories and the vote pins. It
+// returns the number of definitions dropped.
 //
 // Compaction is the second half of the memory bound: retirement shrinks
 // the universe, compaction reclaims the interned definitions and keeps
@@ -588,11 +522,6 @@ func (t *WFIT) CompactRegistry() int {
 		}
 		t.pinned = pinned
 	}
-	// The doi position scratch is keyed by now-stale IDs; wipe the stamps
-	// so the next statement rebuilds it.
-	clear(t.doiPosStamp)
-	t.doiPosEpoch = 0
-	t.opt.Invalidate()
 	return dropped
 }
 

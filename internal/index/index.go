@@ -218,8 +218,7 @@ func RestoreRegistry(defs []Index) (*Registry, error) {
 // Compact must not run concurrently with readers that hold IDs: every ID
 // minted before the call is reinterpreted (or invalidated) by it. The
 // tuner runs it between statements, behind the session's single-writer
-// loop, and follows it by remapping all retained state and invalidating
-// the what-if cache.
+// loop, and follows it by remapping all retained state.
 func (r *Registry) Compact(live Set) []ID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -535,8 +534,7 @@ func (s Set) Key() string {
 }
 
 // AppendKey appends the canonical Key representation to b and returns
-// the extended slice. Callers on hot paths (the what-if cache) use it
-// with a reused buffer so a probe costs no allocation beyond the lookup.
+// the extended slice, so a caller can render into a reused buffer.
 func (s Set) AppendKey(b []byte) []byte {
 	for i, id := range s.ids {
 		if i > 0 {

@@ -3,6 +3,7 @@ package interaction
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/index"
@@ -111,13 +112,14 @@ func (p Partition) Validate() bool {
 	return true
 }
 
-// DoiFunc reports the (current) degree of interaction of an index pair.
+// DoiFunc reports the (current) degree of interaction of an index pair:
+// non-negative, and symmetric in its arguments.
 type DoiFunc func(a, b index.ID) float64
 
 // Loss returns the total doi mass across part boundaries — the error the
-// partition introduces in the decomposed cost formula (2.1). Plain index
-// loops: choosePartition evaluates Loss for every candidate partition of
-// every statement, where closure-based iteration was measurable.
+// partition introduces in the decomposed cost formula (2.1).
+// Partitioner.Choose sums the same terms in the same order from its doi
+// matrix.
 func (p Partition) Loss(doi DoiFunc) float64 {
 	total := 0.0
 	for i := 0; i < len(p); i++ {
@@ -194,11 +196,16 @@ type rngSource interface {
 
 // Partitioner implements choosePartition (Figure 7): a randomized search
 // for a feasible partition (Σ 2^|Pk| ≤ StateCnt, parts ≤ MaxPartSize)
-// minimizing the cross-part interaction loss. A Partitioner is not safe
-// for concurrent use: besides the random source, it keeps scratch
-// buffers (cross-loss matrix, merge state, candidate edges) that Choose
-// reuses across calls — WFIT calls it once per statement, where fresh
-// per-restart allocations dominated the search's cost.
+// minimizing the cross-part interaction loss.
+//
+// The search works on positions: the members of d, in ascending order,
+// are numbered 0..|d|−1. Every candidate partition — the baseline and
+// each randomized restart — is held as parts of ascending positions, its
+// feasibility comes from the part sizes, and its loss is read from one
+// |d|×|d| doi matrix filled once per call. Index sets are built only for
+// a partition that becomes the best so far. A Partitioner is not safe for
+// concurrent use: besides the random source, it keeps the matrix and the
+// merge state as scratch that Choose reuses across calls.
 type Partitioner struct {
 	// StateCnt bounds Σ 2^|Pk|; non-positive means unbounded.
 	StateCnt int
@@ -211,110 +218,103 @@ type Partitioner struct {
 	Rand rngSource
 
 	// scratch reused across Choose calls
-	singles   []index.Set // singleton partition of d, shared by restarts
-	parts     []index.Set
-	baseCross []float64 // singleton cross-loss matrix, shared by restarts
-	cross     []float64 // working n×n cross-loss matrix, flattened
-	baseRows  []uint64  // per-part bitmask of positive-loss partners (n ≤ 64)
-	rows      []uint64
-	alive     []bool
-	edges     []mergeEdge
-	out       []index.Set // restart result scratch
+	ids      []index.ID // d in ascending order: position p is ids[p]
+	doi      []float64  // symmetric n×n doi matrix over positions
+	baseRows []uint64   // per-position bitmask of positive-doi partners (n ≤ 64)
+	cross    []float64  // restart's symmetric cross-loss matrix by slot
+	rows     []uint64
+	size     []int // restart's part size per slot, 0 once merged away
+	live     []int // restart's unmerged slots, ascending
+	owner    []int // slot a part was merged into, then each position's slot
+	cursor   []int
+	covered  []bool
+	members  []int // the candidate partition's positions, part by part
+	bounds   []int // part k is members[bounds[k]:bounds[k+1]]
+	setIDs   []index.ID
+	edges    []mergeEdge
 }
 
 // Choose computes a feasible partition of d, seeded by the current
-// partition, minimizing loss under doi. The result is always in
-// Normalize form, so callers may compare it with EqualNormalized.
+// partition, minimizing loss under doi. It calls doi exactly once per
+// unordered pair of d. The result is always in Normalize form, so callers
+// may compare it with EqualNormalized.
 func (pt *Partitioner) Choose(d index.Set, current Partition, doi DoiFunc) Partition {
 	maxPart := pt.MaxPartSize
 	if maxPart <= 0 {
 		maxPart = 20
 	}
-	feasible := func(p Partition) bool {
-		if p.MaxPartSize() > maxPart {
-			return false
-		}
-		return pt.StateCnt <= 0 || p.States() <= pt.StateCnt
+	n := d.Len()
+	pt.reserve(n)
+	ids := pt.ids
+	for p := range ids {
+		ids[p] = d.At(p)
 	}
-
-	var bestSoln Partition
-	bestLoss := math.Inf(1)
-	consider := func(p Partition) {
-		if !feasible(p) {
-			return
-		}
-		if l := p.Loss(doi); l < bestLoss {
-			bestLoss = l
-			bestSoln = p.Normalize()
-		}
-	}
-	// considerNormalized is consider for partitions already in Normalize
-	// form (randomMerge output is by construction: merges keep the
-	// lowest-membered part in place), saving the re-sort and filter.
-	considerNormalized := func(p Partition) {
-		if !feasible(p) {
-			return
-		}
-		if l := p.Loss(doi); l < bestLoss {
-			bestLoss = l
-			bestSoln = append(Partition{}, p...)
-		}
-	}
-
-	// Baseline: the current partition restricted to d, plus singletons
-	// for new indices.
-	var baseline Partition
-	covered := index.EmptySet
-	for _, part := range current {
-		kept := part.Intersect(d)
-		if !kept.Empty() {
-			baseline = append(baseline, kept)
-			covered = covered.Union(kept)
-		}
-	}
-	d.Minus(covered).Each(func(id index.ID) {
-		baseline = append(baseline, index.NewSet(id))
-	})
-	consider(baseline)
-
-	// Randomized merge restarts, all growing from the same singleton
-	// start state: the singleton part list and its pairwise cross-loss
-	// matrix are computed once, and each restart works on private copies
-	// (the sets themselves are immutable and shared).
-	randCnt := pt.RandCnt
-	if randCnt <= 0 {
-		randCnt = 8
-	}
-	pt.singles = append(pt.singles[:0], Singletons(d)...)
-	n := len(pt.singles)
-	if cap(pt.baseCross) < n*n {
-		pt.baseCross = make([]float64, n*n)
-		pt.cross = make([]float64, n*n)
-		pt.alive = make([]bool, n)
-	}
-	pt.baseCross = pt.baseCross[:n*n]
 	useRows := n <= 64
 	if useRows {
-		if cap(pt.baseRows) < n {
-			pt.baseRows = make([]uint64, n)
-			pt.rows = make([]uint64, n)
-		}
-		pt.baseRows = pt.baseRows[:n]
 		clear(pt.baseRows)
 	}
-	ids := d.IDs()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			l := doi(ids[i], ids[j])
-			pt.baseCross[i*n+j] = l
+			pt.doi[i*n+j], pt.doi[j*n+i] = l, l
 			if useRows && l > 0 {
 				pt.baseRows[i] |= 1 << j
 				pt.baseRows[j] |= 1 << i
 			}
 		}
 	}
+
+	var bestSoln Partition
+	bestLoss := math.Inf(1)
+	// consider scores the partition held in members/bounds; normalized
+	// says its parts are already ordered by smallest member.
+	consider := func(normalized bool) {
+		if !pt.feasible(maxPart) {
+			return
+		}
+		if l, below := pt.lossBelow(n, bestLoss); below {
+			bestLoss = l
+			bestSoln = pt.partition()
+			if !normalized {
+				bestSoln = bestSoln.Normalize()
+			}
+		}
+	}
+
+	// Baseline: the current partition restricted to d, plus singletons
+	// for new indices.
+	covered := pt.covered
+	clear(covered)
+	pt.members, pt.bounds = pt.members[:0], append(pt.bounds[:0], 0)
+	for _, part := range current {
+		for x := 0; x < part.Len(); x++ {
+			if p, ok := slices.BinarySearch(ids, part.At(x)); ok {
+				pt.members = append(pt.members, p)
+				covered[p] = true
+			}
+		}
+		if len(pt.members) > pt.bounds[len(pt.bounds)-1] {
+			pt.bounds = append(pt.bounds, len(pt.members))
+		}
+	}
+	for p := 0; p < n; p++ {
+		if !covered[p] {
+			pt.members = append(pt.members, p)
+			pt.bounds = append(pt.bounds, len(pt.members))
+		}
+	}
+	consider(false)
+
+	// Randomized merge restarts, all growing from the singleton start
+	// state. Merges keep the lowest-positioned part in place, so restart
+	// output is in Normalize form by construction.
+	randCnt := pt.RandCnt
+	if randCnt <= 0 {
+		randCnt = 8
+	}
 	for iter := 0; iter < randCnt; iter++ {
-		considerNormalized(pt.randomMerge(doi, maxPart))
+		pt.randomMerge(n, maxPart)
+		consider(true)
 	}
 
 	if bestSoln == nil {
@@ -325,31 +325,101 @@ func (pt *Partitioner) Choose(d index.Set, current Partition, doi DoiFunc) Parti
 	return bestSoln
 }
 
-// randomMerge runs one randomized merging pass from the precomputed
-// singleton start state, using the Partitioner's scratch buffers. The
-// returned partition is in Normalize form by construction — merges fold
-// the higher-membered part into the lower one, so surviving parts stay
-// ordered by smallest member — and aliases scratch that the next restart
-// overwrites; callers must copy what they keep.
-func (pt *Partitioner) randomMerge(doi DoiFunc, maxPart int) Partition {
-	parts := append(pt.parts[:0], pt.singles...)
-	pt.parts = parts
-	states := len(parts) * 2
-	// cross[i*n+j] caches the cross loss of parts i and j, seeded from
-	// the shared singleton matrix.
-	n := len(parts)
-	cross := append(pt.cross[:0], pt.baseCross...)
-	pt.cross = cross
-	get := func(i, j int) float64 {
-		if i > j {
-			i, j = j, i
+// reserve sizes the scratch for n candidates.
+func (pt *Partitioner) reserve(n int) {
+	if cap(pt.ids) < n {
+		pt.ids = make([]index.ID, n)
+		pt.doi = make([]float64, n*n)
+		pt.cross = make([]float64, n*n)
+		pt.baseRows = make([]uint64, n)
+		pt.rows = make([]uint64, n)
+		pt.size = make([]int, n)
+		pt.live = make([]int, n)
+		pt.owner = make([]int, n)
+		pt.cursor = make([]int, n)
+		pt.covered = make([]bool, n)
+		pt.members = make([]int, 0, n)
+		pt.bounds = make([]int, 0, n+1)
+	}
+	pt.ids = pt.ids[:n]
+	pt.doi = pt.doi[:n*n]
+	pt.baseRows = pt.baseRows[:n]
+	pt.size = pt.size[:n]
+	pt.owner = pt.owner[:n]
+	pt.cursor = pt.cursor[:n]
+	pt.covered = pt.covered[:n]
+}
+
+// feasible reports whether the partition in members/bounds respects the
+// part-size and state bounds.
+func (pt *Partitioner) feasible(maxPart int) bool {
+	states := 0
+	for k := 1; k < len(pt.bounds); k++ {
+		size := pt.bounds[k] - pt.bounds[k-1]
+		if size > maxPart {
+			return false
 		}
-		return cross[i*n+j]
+		states += 1 << size
 	}
-	alive := pt.alive[:n]
-	for i := range alive {
-		alive[i] = true
+	return pt.StateCnt <= 0 || states <= pt.StateCnt
+}
+
+// lossBelow returns Partition.Loss of the partition in members/bounds,
+// read from the doi matrix in Loss's exact order — parts in slice order
+// with i<j, members ascending — so the sum is bit-equal to Loss under the
+// same doi; and whether it is below bound. doi is non-negative, so a
+// partial sum never decreases: the scan stops, reporting false, once it
+// reaches bound.
+func (pt *Partitioner) lossBelow(n int, bound float64) (float64, bool) {
+	total := 0.0
+	parts := len(pt.bounds) - 1
+	for i := 0; i < parts; i++ {
+		pi := pt.members[pt.bounds[i]:pt.bounds[i+1]]
+		for j := i + 1; j < parts; j++ {
+			pj := pt.members[pt.bounds[j]:pt.bounds[j+1]]
+			for _, a := range pi {
+				row := pt.doi[a*n : a*n+n]
+				for _, b := range pj {
+					total += row[b]
+				}
+			}
+			if total >= bound {
+				return total, false
+			}
+		}
 	}
+	return total, total < bound
+}
+
+// partition builds the index sets of the partition in members/bounds.
+func (pt *Partitioner) partition() Partition {
+	out := make(Partition, 0, len(pt.bounds)-1)
+	for k := 1; k < len(pt.bounds); k++ {
+		ids := pt.setIDs[:0]
+		for _, p := range pt.members[pt.bounds[k-1]:pt.bounds[k]] {
+			ids = append(ids, pt.ids[p])
+		}
+		pt.setIDs = ids
+		out = append(out, index.NewSet(ids...))
+	}
+	return out
+}
+
+// randomMerge runs one randomized merging pass from the singleton start
+// state over n positions and leaves its result in members/bounds: parts
+// ordered by smallest position, members ascending.
+func (pt *Partitioner) randomMerge(n, maxPart int) {
+	size, owner := pt.size, pt.owner
+	live := pt.live[:n]
+	for i := range size {
+		size[i] = 1
+		live[i] = i
+	}
+	states := n * 2
+	// cross[i*n+j] = cross[j*n+i] caches the cross loss of the parts in
+	// slots i and j, seeded from the doi matrix.
+	cross := append(pt.cross[:0], pt.doi...)
+	pt.cross = cross
 	// With n ≤ 64 parts, each part carries a bitmask of its positive-loss
 	// partners, so the per-round candidate scan touches only interacting
 	// pairs instead of all n²/2 — losses are sums of non-negative doi, so
@@ -371,7 +441,7 @@ func (pt *Partitioner) randomMerge(doi DoiFunc, maxPart int) Partition {
 		candidates := pt.edges[:0]
 		onlySingles := false
 		addEdge := func(i, j int, l float64) {
-			si, sj := parts[i].Len(), parts[j].Len()
+			si, sj := size[i], size[j]
 			if si+sj > maxPart {
 				return
 			}
@@ -395,21 +465,16 @@ func (pt *Partitioner) randomMerge(doi DoiFunc, maxPart int) Partition {
 				candidates = append(candidates, e)
 			}
 		}
-		for i := 0; i < n; i++ {
-			if !alive[i] {
-				continue
-			}
+		for x, i := range live {
+			row := cross[i*n : i*n+n]
 			if useRows {
 				for m := rows[i] & aliveMask & (^uint64(0) << (i + 1)); m != 0; m &= m - 1 {
 					j := bits.TrailingZeros64(m)
-					addEdge(i, j, get(i, j))
+					addEdge(i, j, row[j])
 				}
 			} else {
-				for j := i + 1; j < n; j++ {
-					if !alive[j] {
-						continue
-					}
-					if l := get(i, j); l > 0 {
+				for _, j := range live[x+1:] {
+					if l := row[j]; l > 0 {
 						addEdge(i, j, l)
 					}
 				}
@@ -421,21 +486,19 @@ func (pt *Partitioner) randomMerge(doi DoiFunc, maxPart int) Partition {
 		}
 		pick := weightedPick(candidates, pt.Rand)
 		i, j := candidates[pick].i, candidates[pick].j
-		// Merge j into i.
-		si, sj := parts[i].Len(), parts[j].Len()
+		// Merge j into i (i < j).
+		si, sj := size[i], size[j]
 		states += (1 << (si + sj)) - (1 << si) - (1 << sj)
-		parts[i] = parts[i].Union(parts[j])
-		alive[j] = false
-		for k := 0; k < n; k++ {
-			if k == i || !alive[k] {
+		size[i], size[j] = si+sj, 0
+		owner[j] = i
+		x, _ := slices.BinarySearch(live, j)
+		live = slices.Delete(live, x, x+1)
+		for _, k := range live {
+			if k == i {
 				continue
 			}
-			merged := get(i, k) + get(j, k)
-			if k < i {
-				cross[k*n+i] = merged
-			} else {
-				cross[i*n+k] = merged
-			}
+			merged := cross[i*n+k] + cross[j*n+k]
+			cross[i*n+k], cross[k*n+i] = merged, merged
 		}
 		if useRows {
 			aliveMask &^= 1 << j
@@ -447,14 +510,30 @@ func (pt *Partitioner) randomMerge(doi DoiFunc, maxPart int) Partition {
 		}
 	}
 
-	out := pt.out[:0]
-	for i := 0; i < n; i++ {
-		if alive[i] {
-			out = append(out, parts[i])
+	// Resolve each position's slot: a merged-away slot points at a lower
+	// one, already resolved in this ascending pass. Then lay the members
+	// out part by part, slots ascending.
+	for p := 0; p < n; p++ {
+		if size[p] > 0 {
+			owner[p] = p
+		} else {
+			owner[p] = owner[owner[p]]
 		}
 	}
-	pt.out = out
-	return Partition(out)
+	pt.bounds = pt.bounds[:0]
+	next := 0
+	for _, s := range live {
+		pt.bounds = append(pt.bounds, next)
+		pt.cursor[s] = next
+		next += size[s]
+	}
+	pt.bounds = append(pt.bounds, next)
+	pt.members = pt.members[:n]
+	for p := 0; p < n; p++ {
+		s := owner[p]
+		pt.members[pt.cursor[s]] = p
+		pt.cursor[s]++
+	}
 }
 
 // mergeEdge is a candidate merge of two parts during randomized search.

@@ -274,12 +274,11 @@ type SessionStatus struct {
 	GroupCommitRecords int64 `json:"group_commit_records"`
 	SpecHits           int64 `json:"spec_hits"`
 	SpecMisses         int64 `json:"spec_misses"`
-	// What-if gauges: real optimizer invocations versus probes served by
-	// the session's what-if cache, and how many checkpoints the session
-	// has taken (each one a snapshot + WAL truncation).
-	WhatIfCalls     int64 `json:"whatif_calls"`
-	WhatIfCacheHits int64 `json:"whatif_cache_hits"`
-	Checkpoints     int64 `json:"checkpoints"`
+	// What-if gauge: the tuner's optimizer invocations; and how many
+	// checkpoints the session has taken (each one a snapshot + WAL
+	// truncation).
+	WhatIfCalls int64 `json:"whatif_calls"`
+	Checkpoints int64 `json:"checkpoints"`
 	// Replication gauges (primaries with a shipper attached only; see
 	// README "Replication & failover").
 	Replication *ReplicationStatus `json:"replication,omitempty"`
@@ -1070,7 +1069,9 @@ func (s *Session) applyStatement(st *stmt.Statement, spec *specTask, shares *sta
 		s.specMisses++
 		s.tuner.AnalyzeQuery(st)
 	}
-	c := s.opt.Cost(st, s.materialized)
+	// Priced with the model, not the tuner's optimizer, so whatif_calls
+	// counts the tuner's probes only.
+	c := s.model.Cost(st, s.materialized)
 	s.totalWork += c
 	s.sinceCkpt++
 	if traced {
@@ -1312,7 +1313,6 @@ func (s *Session) Status() SessionStatus {
 		SpecHits:           s.specHits,
 		SpecMisses:         s.specMisses,
 		WhatIfCalls:        s.opt.Calls(),
-		WhatIfCacheHits:    s.opt.Hits(),
 		Checkpoints:        s.checkpoints,
 	}
 	if s.shipper != nil {
