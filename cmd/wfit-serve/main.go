@@ -9,8 +9,7 @@
 //	wfit-serve -addr :7781 -data ./wfit-data [-checkpoint-every N]
 //	           [-checkpoint-bytes N] [-queue N] [-idxcnt N] [-statecnt N]
 //	           [-histsize N] [-retire-after N] [-tuner NAME] [-fsync]
-//	           [-batch N] [-pipeline N] [-standby URL] [-replicate-async]
-//	           [-follower]
+//	           [-batch N] [-standby URL] [-replicate-async] [-follower]
 //
 // Replication (see the README's "Replication & failover" section):
 // -standby URL ships every session's WAL to a warm standby at URL
@@ -84,7 +83,6 @@ func realMain() int {
 	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "snapshot automatically when the WAL exceeds this many bytes, bounding recovery replay time (0 disables)")
 	queueDepth := flag.Int("queue", 256, "per-session ingest queue depth (backpressure bound)")
 	batch := flag.Int("batch", 64, "max WAL records per group commit: the ingest loop drains queued work up to this bound and persists it with one flush+fsync (1 = commit per record)")
-	pipeline := flag.Int("pipeline", 0, "speculative-analysis workers per session: statements queued behind the apply cursor are analyzed concurrently and validated at apply time (0 disables, negative = one per CPU); any value keeps trajectories bit-identical")
 	idxCnt := flag.Int("idxcnt", 40, "default idxCnt knob for new sessions")
 	stateCnt := flag.Int("statecnt", 500, "default stateCnt knob for new sessions")
 	histSize := flag.Int("histsize", 100, "default histSize knob for new sessions")
@@ -114,7 +112,7 @@ func realMain() int {
 
 	// Fail fast on knob values that would silently create unbounded
 	// tuner state (the same rule the API applies to per-session knobs).
-	defaults := server.SessionConfig{Name: "defaults", Tuner: *tunerKind, Options: options, QueueDepth: *queueDepth, CheckpointBytes: *checkpointBytes, Batch: *batch, Pipeline: *pipeline}
+	defaults := server.SessionConfig{Name: "defaults", Tuner: *tunerKind, Options: options, QueueDepth: *queueDepth, CheckpointBytes: *checkpointBytes, Batch: *batch}
 	if err := defaults.Check(); err != nil {
 		fmt.Fprintf(os.Stderr, "wfit-serve: invalid flags: %v\n", err)
 		return 2
@@ -132,7 +130,6 @@ func realMain() int {
 		CheckpointBytes: *checkpointBytes,
 		Fsync:           *fsync,
 		Batch:           *batch,
-		Pipeline:        *pipeline,
 		Follower:        *follower,
 		Metrics:         metrics,
 	}

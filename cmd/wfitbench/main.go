@@ -54,7 +54,7 @@ func realMain() int {
 	workers := flag.Int("workers", 0, "worker bound for construction and runs (0 = one per CPU)")
 	benchout := flag.String("benchout", "BENCH_wfit.json", "perf trajectory output file (empty disables)")
 	service := flag.Bool("service", true, "include the wfit-serve loadgen (K concurrent sessions over HTTP) in the perf run")
-	pipeline := flag.Bool("pipeline", true, "include the ingest-throughput bench (WAL group commit + speculative analysis vs per-record commits, with and without fsync) in the perf run")
+	pipeline := flag.Bool("pipeline", true, "include the ingest-throughput bench (client batching + WAL group commit vs per-record commits, with and without fsync) in the perf run")
 	obsBench := flag.Bool("obs", true, "include the observability overhead bench (the service loadgen with metrics off vs on, plus slowest-statement trace attribution) in the perf run")
 	throughput := flag.Bool("throughput", false, "run only the ingest-throughput bench and write its \"pipeline\" section (the CI throughput-smoke entry point)")
 	failover := flag.Bool("failover", false, "run only the replicated-pair failover bench (kill the primary mid-stream, promote the standby through the router) and write its \"failover\" section (the CI failover-smoke entry point)")
@@ -226,7 +226,7 @@ func runThroughput() (*bench.PipelinePerf, int) {
 		return nil, 1
 	}
 	defer os.RemoveAll(dataDir)
-	fmt.Println("Ingest throughput: per-record commits vs WAL group commit + speculative analysis")
+	fmt.Println("Ingest throughput: per-record commits vs client batching + WAL group commit")
 	p, err := bench.RunPipeline(bench.PipelineOptions{DataDir: dataDir})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pipeline bench: %v\n", err)
@@ -239,9 +239,9 @@ func runThroughput() (*bench.PipelinePerf, int) {
 // printPipeline renders the pipeline bench's mode table and speedups.
 func printPipeline(p *bench.PipelinePerf) {
 	for _, m := range p.Modes {
-		fmt.Printf("  %-14s %8.0f stmts/s, ack mean %7.0f µs (p50 %.0f, p99 %.0f), %d group commits / %d records, speculation %d/%d hit\n",
+		fmt.Printf("  %-14s %8.0f stmts/s, ack mean %7.0f µs (p50 %.0f, p99 %.0f), %d group commits / %d records\n",
 			m.Name, m.StmtsPerSec, m.AckUSMean, m.AckUSP50, m.AckUSP99,
-			m.GroupCommits, m.GroupCommitRecords, m.SpecHits, m.SpecHits+m.SpecMisses)
+			m.GroupCommits, m.GroupCommitRecords)
 	}
 	fmt.Printf("  group-commit speedup: %.2fx under fsync, %.2fx without; trajectories identical: %v\n",
 		p.SpeedupFsync, p.SpeedupNoFsync, p.TotalWorkIdentical)
@@ -392,20 +392,12 @@ func runPerf(env *bench.Env, outPath string, service, pipeline, obsBench bool, s
 	}
 
 	if pipeline {
-		fmt.Println("\nIngest throughput: per-record commits vs WAL group commit + speculative analysis")
-		dataDir, err := os.MkdirTemp("", "wfit-pipeline-bench-*")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipeline bench temp dir: %v\n", err)
-			return 1
-		}
-		defer os.RemoveAll(dataDir)
-		pp, err := bench.RunPipeline(bench.PipelineOptions{DataDir: dataDir})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipeline bench: %v\n", err)
-			return 1
+		fmt.Println()
+		pp, code := runThroughput()
+		if code != 0 {
+			return code
 		}
 		r.Pipeline = pp
-		printPipeline(pp)
 	}
 
 	if obsBench {

@@ -83,8 +83,8 @@ type PerfReport struct {
 	// candidate retirement and registry compaction); nil when skipped.
 	Soak *SoakReport `json:"soak,omitempty"`
 	// Pipeline is the ingest-throughput comparison (per-record commits
-	// vs WAL group commit + speculative analysis, with and without
-	// fsync); nil when skipped.
+	// vs client batching + WAL group commit, with and without fsync);
+	// nil when skipped.
 	Pipeline *PipelinePerf `json:"pipeline,omitempty"`
 	// Failover is the replicated-pair kill test (client-observed outage
 	// blip across standby promotion, acked-loss accounting, replication

@@ -4,59 +4,14 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/ibg"
 	"repro/internal/index"
 	"repro/internal/stmt"
-	"repro/internal/whatif"
 )
 
-// Analysis is the expensive, read-only half of one statement's analysis,
-// split out of AnalyzeQuery so a batched ingest loop can compute it
-// speculatively — off the serialized apply path, concurrently for several
-// queued statements — and then fold it in cheaply, in order.
-//
-// The split is validated, not trusted: BeginAnalysis captures the tuner's
-// change epoch and registry length, Run performs candidate mining (via the
-// non-interning Extractor.Peek), IBG construction, and the benefit/doi
-// maximizations against that frozen context, and ApplyAnalysis only
-// consumes the result when the context is still current — otherwise it
-// recomputes on the serialized path. Correctness therefore never depends
-// on the speculation winning; a hit only removes the what-if probing from
-// the apply path's critical section.
-//
-// Run touches nothing but the captured sets, the concurrency-safe index
-// registry, and the concurrency-safe what-if optimizer, so it may execute
-// concurrently with other Runs and with the serialized apply of earlier
-// events. It must not run concurrently with CompactRegistry (which
-// renumbers the ID space under readers); the service joins every
-// in-flight Run before checkpointing.
-type Analysis struct {
-	stmt      *stmt.Statement
-	opt       *whatif.Optimizer
-	extractor *cost.Extractor
-
-	// base is the IBG context beyond the statement's own candidates:
-	// C ∪ M for the full tuner, U for the fixed-candidate variant.
-	base index.Set
-
-	workers           int
-	doiThreshold      float64
-	assumeIndependent bool
-	statsDisabled     bool
-
-	// epoch and regLen pin the tuner state the capture is valid against.
-	epoch  uint64
-	regLen int
-
-	ran bool // Run completed
-	ok  bool // Run produced a usable result (every candidate was interned)
-
-	// runDur is Run's wall time — the stage timestamp the service's
-	// trace attributes to "analysis" whether the run happened inline on
-	// the apply path or concurrently on the speculative pipeline.
-	runDur time.Duration
-
+// analysis carries one statement's read-only results from the heavy half
+// of AnalyzeQuery (run) to the serialized fold (finish).
+type analysis struct {
 	extracted    index.Set
 	g            *ibg.Graph
 	used         []index.ID
@@ -64,66 +19,37 @@ type Analysis struct {
 	interactions []ibg.Interaction
 }
 
-// BeginAnalysis captures the context a speculative analysis of s will be
-// validated against. It is cheap (a few set unions) and must be called
-// under the same serialization as ApplyAnalysis — the capture has to see
-// a consistent tuner. workers bounds the goroutines this one analysis
-// fans across internally; speculative callers typically pass 1 and get
-// their parallelism from running several analyses at once (any value
-// produces byte-identical results).
-func (t *WFIT) BeginAnalysis(s *stmt.Statement, workers int) *Analysis {
-	base := t.partsetC.Union(t.materialized)
-	if t.statsDisabled {
-		base = t.universe
-	}
-	return &Analysis{
-		stmt:              s,
-		opt:               t.opt,
-		extractor:         t.extractor,
-		base:              base,
-		workers:           workers,
-		doiThreshold:      t.options.DoiThreshold,
-		assumeIndependent: t.options.AssumeIndependent,
-		statsDisabled:     t.statsDisabled,
-		epoch:             t.epoch,
-		regLen:            t.reg.Len(),
-	}
-}
-
-// Run executes the heavy phase: candidate mining, IBG construction (the
-// statement's what-if probes), and the per-index benefit and per-pair doi
-// maximizations over the frozen graph. Safe for concurrent use as
-// documented on Analysis. After Run, the analysis either holds a usable
-// result or is marked for recomputation (a candidate was not interned
-// yet — ApplyAnalysis falls back).
-func (a *Analysis) Run() { a.run(false) }
-
-// run is Run with the interning/peeking choice explicit: the serialized
-// path interns (assigning new registry IDs at the statement's position in
-// the event order), the speculative path peeks and bails if any candidate
-// is new.
-func (a *Analysis) run(intern bool) {
+// AnalyzeQuery implements WFIT.analyzeQuery (Figure 4): maintain the
+// candidate partition via chooseCands/repartition, then fan the per-part
+// work-function updates against the statement's index benefit graph out
+// across the worker pool. The graph is private to this call, so its
+// pooled probe cache is released at the end for the next statement.
+//
+// The call runs in two timed stages, reported by LastAnalysisDurations:
+// run (candidate mining, IBG build, benefit/doi maximizations) and finish
+// (statistics fold, chooseCands/repartition, WFA updates).
+func (t *WFIT) AnalyzeQuery(s *stmt.Statement) {
 	//lint:allow nondeterminism(stage timing feeds only obs traces, never tuner state)
 	start := time.Now()
-	defer func() {
-		//lint:allow nondeterminism(stage timing feeds only obs traces, never tuner state)
-		a.runDur = time.Since(start)
-		a.ran = true
-	}()
-	if a.statsDisabled {
-		a.g = ibg.BuildWorkers(a.opt, a.stmt, a.base, a.workers)
-		a.ok = true
-		return
+	a := t.run(s)
+	//lint:allow nondeterminism(stage timing feeds only obs traces, never tuner state)
+	mid := time.Now()
+	t.finish(a)
+	t.lastRunDur = mid.Sub(start)
+	//lint:allow nondeterminism(stage timing feeds only obs traces, never tuner state)
+	t.lastFinishDur = time.Since(mid)
+}
+
+// run is the heavy phase: candidate mining (interning new candidates at
+// the statement's position in the event order), IBG construction (the
+// statement's what-if probes), and the per-index benefit and per-pair doi
+// maximizations over the finished graph.
+func (t *WFIT) run(s *stmt.Statement) analysis {
+	workers := t.options.Workers
+	if t.statsDisabled {
+		return analysis{g: ibg.BuildWorkers(t.opt, s, t.universe, workers)}
 	}
-	if intern {
-		a.extracted = a.extractor.Extract(a.stmt)
-	} else {
-		var ok bool
-		a.extracted, ok = a.extractor.Peek(a.stmt)
-		if !ok {
-			return
-		}
-	}
+	extracted := t.extractor.Extract(s)
 	// The graph spans the indices this statement brings into play — its
 	// own extracted candidates plus the relevant monitored and
 	// materialized ones — not the whole mined universe: that is what
@@ -131,70 +57,28 @@ func (a *Analysis) run(intern bool) {
 	// while the universe grows into the hundreds. Statistics for universe
 	// members untouched by recent statements simply age out through the
 	// history window.
-	g := ibg.BuildWorkers(a.opt, a.stmt, a.extracted.Union(a.base), a.workers)
-	a.g = g
-	a.used = g.UsedUnion().IDs()
-	threshold := a.doiThreshold
-	if a.assumeIndependent {
+	g := ibg.BuildWorkers(t.opt, s, extracted.Union(t.partsetC.Union(t.materialized)), workers)
+	threshold := t.options.DoiThreshold
+	if t.options.AssumeIndependent {
 		threshold = math.Inf(1) // benefits only
 	}
-	a.benefits, a.interactions = g.Stats(threshold, a.workers)
-	a.ok = true
-}
-
-// Discard releases the analysis's graph (returning its pooled probe cache)
-// without applying it. Call it for speculative analyses that were
-// abandoned; ApplyAnalysis discards internally on a miss.
-func (a *Analysis) Discard() {
-	if a.g != nil {
-		a.g.Release()
-		a.g = nil
+	benefits, interactions := g.Stats(threshold, workers)
+	return analysis{
+		extracted:    extracted,
+		g:            g,
+		used:         g.UsedUnion().IDs(),
+		benefits:     benefits,
+		interactions: interactions,
 	}
 }
 
-// AnalysisValid reports whether a's captured context is still current: no
-// repartition, materialization change, or compaction since the capture
-// (the change epoch), and no registry growth (a new ID would mean the
-// serial path could have mined a different IBG, and — worse — that the
-// speculative peek saw an ID-assignment order the WAL does not record).
-// Callers that queued an analysis behind other events use it to skip
-// waiting for a Run whose result is already unusable.
-func (t *WFIT) AnalysisValid(a *Analysis) bool {
-	return a.epoch == t.epoch && a.regLen == t.reg.Len()
-}
-
-// ApplyAnalysis folds a speculative analysis into the tuner, exactly as
-// AnalyzeQuery would have analyzed the statement at this position. It
-// reports whether the speculation was consumed; on a miss (stale context
-// or an un-interned candidate) it discards the speculative work and
-// recomputes on the serialized path, so the outcome is bit-identical
-// either way.
-func (t *WFIT) ApplyAnalysis(a *Analysis) bool {
-	if a.ran && a.ok && t.AnalysisValid(a) {
-		t.finishAnalysis(a)
-		return true
-	}
-	a.Discard()
-	fresh := t.BeginAnalysis(a.stmt, t.options.Workers)
-	fresh.run(true)
-	t.finishAnalysis(fresh)
-	return false
-}
-
-// finishAnalysis is the serialized half of a statement's analysis: fold
-// the statistics observations in, maintain the candidate set and stable
+// finish is the serialized half of a statement's analysis: fold the
+// statistics observations in, maintain the candidate set and stable
 // partition (chooseCands/repartition, Figure 6), and fan the per-part
 // work-function updates against the statement's IBG. The summation and
-// insertion orders are identical to the pre-split AnalyzeQuery, which is
-// what keeps serial, batched, and recovered trajectories bit-identical.
-func (t *WFIT) finishAnalysis(a *Analysis) {
-	//lint:allow nondeterminism(stage timing feeds only obs traces, never tuner state)
-	start := time.Now()
-	defer func() {
-		t.lastRunDur = a.runDur
-		//lint:allow nondeterminism(stage timing feeds only obs traces, never tuner state)
-		t.lastFinishDur = time.Since(start)
-	}()
+// insertion orders are fixed, which is what keeps serial, batched, and
+// recovered trajectories bit-identical.
+func (t *WFIT) finish(a analysis) {
 	t.n++
 	g := a.g
 	if !t.statsDisabled {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/index"
 	"repro/internal/interaction"
-	"repro/internal/stmt"
 	"repro/internal/whatif"
 )
 
@@ -29,12 +28,15 @@ type Options struct {
 	// AssumeIndependent disables interaction tracking entirely: every
 	// part becomes a singleton (the WFIT-IND variant of §6.2).
 	AssumeIndependent bool
-	// Workers bounds the goroutines the per-statement analysis pipeline
-	// (IBG expansion, statistics, per-part work-function updates) may
-	// fan out across. 1 forces the fully serial path; values <= 0 mean
-	// one worker per CPU. Any setting produces byte-identical results —
-	// parts of the stable partition are independent by Theorem 4.2's
-	// decomposition, and the shared IBG is safe for concurrent probing.
+	// Workers bounds the goroutines one statement's analysis fans out
+	// across: IBG wave expansion, the benefit/doi statistics pass, and
+	// the per-part work-function updates. This intra-statement fan-out is
+	// the tuner's only concurrency; statements themselves are analyzed
+	// one at a time, in order. 1 forces the fully serial path; values
+	// <= 0 mean one worker per CPU. Any setting produces byte-identical
+	// results — parts of the stable partition are independent by
+	// Theorem 4.2's decomposition, and the shared IBG is safe for
+	// concurrent probing.
 	Workers int
 	// Seed drives the deterministic randomness of choosePartition.
 	Seed int64
@@ -109,21 +111,12 @@ type WFIT struct {
 	statsDisabled bool // fixed-partition mode (candidate maintenance off)
 
 	// lastRunDur/lastFinishDur split the most recent statement's
-	// analysis wall time across the Begin/Run/finish seam: run is the
-	// heavy read-only phase (mining, IBG build, maximizations) wherever
-	// it executed — inline or speculatively — and finish is the
-	// serialized fold (stats, partition, WFA updates). The service's
-	// per-statement traces read them right after the apply.
+	// analysis wall time: run is the heavy phase (mining, IBG build,
+	// maximizations) and finish the fold (stats, partition, WFA
+	// updates). The service's per-statement traces read them right
+	// after the apply.
 	lastRunDur    time.Duration
 	lastFinishDur time.Duration
-
-	// epoch counts the changes that can invalidate a speculative Analysis:
-	// repartitions (the IBG context C changes), materialization changes
-	// (M changes), and registry compactions (every ID is reinterpreted).
-	// Registry growth is detected separately, by length — see
-	// AnalysisValid. Bumps are deliberately conservative-but-minimal so
-	// pipelined sessions keep a high speculation hit rate.
-	epoch uint64
 }
 
 // NewWFIT builds a full WFIT instance. Per Figure 4's initialization, the
@@ -207,8 +200,8 @@ func (t *WFIT) Partition() interaction.Partition { return t.partition }
 func (t *WFIT) LastIBGNodes() int { return t.lastIBGNodes }
 
 // LastAnalysisDurations reports the wall time of the most recent
-// statement's analysis, split across the speculative seam: run is the
-// heavy read-only phase (wherever it ran), finish the serialized fold.
+// statement's analysis, split into the heavy run phase and the finish
+// fold (see AnalyzeQuery).
 func (t *WFIT) LastAnalysisDurations() (run, finish time.Duration) {
 	return t.lastRunDur, t.lastFinishDur
 }
@@ -216,9 +209,6 @@ func (t *WFIT) LastAnalysisDurations() (run, finish time.Duration) {
 // SetMaterialized records the DBA's actual physical configuration, which
 // candidate selection must keep covered (the M set of Figure 6).
 func (t *WFIT) SetMaterialized(m index.Set) {
-	if !m.Equal(t.materialized) {
-		t.epoch++
-	}
 	t.materialized = m
 }
 
@@ -235,21 +225,6 @@ func (t *WFIT) Recommend() index.Set {
 		rec = rec.Union(part.Recommend())
 	}
 	return rec
-}
-
-// AnalyzeQuery implements WFIT.analyzeQuery (Figure 4): maintain the
-// candidate partition via chooseCands/repartition, then fan the per-part
-// work-function updates against the statement's index benefit graph out
-// across the worker pool. The graph is private to this call, so its
-// pooled probe cache is released at the end for the next statement.
-//
-// AnalyzeQuery is the one-call form of the Analyze/Apply split (see
-// Analysis): the heavy read-only phase runs inline on the interning path,
-// immediately followed by the serialized fold-in.
-func (t *WFIT) AnalyzeQuery(s *stmt.Statement) {
-	a := t.BeginAnalysis(s, t.options.Workers)
-	a.run(true)
-	t.finishAnalysis(a)
 }
 
 // retire implements the RetireAfter bound (one sweep per statement): a
@@ -412,7 +387,6 @@ func (t *WFIT) chooseTop() index.Set {
 // expression per configuration, at O(2^|Dm|) per overlapping part instead
 // of O(2^|Dm|) set materializations, intersections, and merge scans.
 func (t *WFIT) repartition(newPartition interaction.Partition) {
-	t.epoch++
 	oldParts := t.parts
 	oldC := t.partsetC
 	currRec := t.Recommend()
@@ -501,7 +475,6 @@ func (t *WFIT) CompactRegistry() int {
 	if dropped <= 0 {
 		return 0
 	}
-	t.epoch++
 	remap := t.reg.Compact(live)
 	t.s0 = t.s0.Remap(remap)
 	t.materialized = t.materialized.Remap(remap)

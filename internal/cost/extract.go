@@ -66,29 +66,9 @@ func NewExtractor(m *Model) *Extractor {
 func (e *Extractor) Extract(s *stmt.Statement) index.Set {
 	var ids []index.ID
 	for _, table := range s.Tables {
-		ids = append(ids, e.resolve(table, e.candidates(s, table), false)...)
+		ids = append(ids, e.resolve(table, e.candidates(s, table))...)
 	}
 	return index.NewSet(ids...)
-}
-
-// Peek computes exactly the set Extract would return, but resolves every
-// candidate through Lookup instead of interning — it never mutates the
-// registry, so it is safe to run concurrently with an interning writer
-// (the registry is concurrency-safe). ok is false when any candidate has
-// not been interned yet; the caller must then fall back to Extract on the
-// serialized path. The speculative analysis pipeline uses Peek so that
-// registry ID assignment stays a pure function of the applied event
-// order, which bit-identical recovery depends on.
-func (e *Extractor) Peek(s *stmt.Statement) (index.Set, bool) {
-	var ids []index.ID
-	for _, table := range s.Tables {
-		got := e.resolve(table, e.candidates(s, table), true)
-		if got == nil {
-			return index.EmptySet, false
-		}
-		ids = append(ids, got...)
-	}
-	return index.NewSet(ids...), true
 }
 
 // candidates generates this table's candidate column sets in a
@@ -102,9 +82,10 @@ func (e *Extractor) Peek(s *stmt.Statement) (index.Set, bool) {
 // bloats the IBG analysis and forces the stable partition to drop
 // interaction mass.
 func (e *Extractor) candidates(s *stmt.Statement, table string) [][]string {
-	// Sort a COPY of the cached per-table view: candidate generation must
-	// stay read-only on the statement, which a speculative analysis may
-	// share with a concurrent serialized recompute.
+	// Sort a COPY of the cached per-table view: TablePreds is shared with
+	// the cost model, which prices every what-if probe of this statement
+	// from the same slice, so candidate generation must leave it in its
+	// parsed order.
 	preds := append([]stmt.Pred(nil), s.TablePreds(table)...)
 	// Equality predicates first (better index prefixes), then by column
 	// name — a deterministic order stable across re-instantiations of
@@ -187,13 +168,9 @@ func (e *Extractor) candidates(s *stmt.Statement, table string) [][]string {
 	return colSets
 }
 
-// resolve turns up to MaxPerTable column sets into registry IDs, either
-// interning them (the serialized apply path) or looking them up without
-// mutation (peek=true, the speculative path). In peek mode a single
-// missing definition aborts with nil: the cap and dedup are applied in
-// the identical order either way, so a successful peek returns exactly
-// the IDs the interning call would have.
-func (e *Extractor) resolve(table string, colSets [][]string, peek bool) []index.ID {
+// resolve interns up to MaxPerTable column sets, skipping duplicates,
+// and returns their registry IDs in priority order.
+func (e *Extractor) resolve(table string, colSets [][]string) []index.ID {
 	max := e.MaxPerTable
 	if max <= 0 {
 		max = len(colSets)
@@ -209,14 +186,6 @@ func (e *Extractor) resolve(table string, colSets [][]string, peek bool) []index
 			continue
 		}
 		seen[key] = true
-		if peek {
-			id, ok := e.reg.Lookup(table, cols)
-			if !ok {
-				return nil
-			}
-			ids = append(ids, id)
-			continue
-		}
 		proto := BuildIndexProto(e.cat, e.p, table, cols)
 		ids = append(ids, e.reg.Intern(proto))
 	}

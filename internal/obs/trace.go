@@ -22,19 +22,14 @@ type StatementTrace struct {
 	// fsync is disabled).
 	FsyncUS float64 `json:"fsync_us"`
 	// AnalysisUS is the what-if analysis (IBG build + benefit/
-	// interaction extraction). For speculative hits this work ran
-	// concurrently with earlier statements; the value is its wall time.
+	// interaction extraction).
 	AnalysisUS float64 `json:"analysis_us"`
-	// ApplyUS is the apply-path remainder: WFA fold, recommendation
-	// bookkeeping, and (for speculative hits) any wait for the
-	// speculated analysis to finish.
+	// ApplyUS is the apply-path remainder: WFA fold and recommendation
+	// bookkeeping.
 	ApplyUS float64 `json:"apply_us"`
 	// WhatIfCalls is the number of what-if optimizer probes the
 	// statement's analysis issued (its IBG node count).
 	WhatIfCalls int `json:"whatif_calls"`
-	// SpecHit reports whether the analysis was served by the
-	// speculative pipeline.
-	SpecHit bool `json:"spec_hit"`
 }
 
 // Dominant returns the name of the stage that consumed the largest

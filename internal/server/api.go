@@ -189,7 +189,6 @@ type createSessionRequest struct {
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
 	CheckpointBytes int64  `json:"checkpoint_bytes,omitempty"`
 	Batch           int    `json:"batch,omitempty"`
-	Pipeline        int    `json:"pipeline,omitempty"`
 }
 
 func (sv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -219,7 +218,6 @@ func (sv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		CheckpointEvery: req.CheckpointEvery,
 		CheckpointBytes: req.CheckpointBytes,
 		Batch:           req.Batch,
-		Pipeline:        req.Pipeline,
 	}
 	sess, err := sv.CreateSession(cfg)
 	if err != nil {

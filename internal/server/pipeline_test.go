@@ -59,33 +59,32 @@ func drivePipeline(t *testing.T, sess *Session, sqls []string, from, to, stride 
 // checkpoints every 150 statements with retirement enabled, so registry
 // compactions land at checkpoint boundaries mid-workload — the alignment
 // the group-commit chunk cutting must reproduce exactly.
-func pipelineSessionConfig(name string, batch, pipeline int) SessionConfig {
+func pipelineSessionConfig(name string, batch int) SessionConfig {
 	cfg := testSessionConfig(name)
 	cfg.Options.RetireAfter = 120
 	cfg.CheckpointEvery = 150
 	cfg.Batch = batch
-	cfg.Pipeline = pipeline
 	return cfg
 }
 
 // TestBatchedPipelineBitIdentical is the acceptance test of the batched
 // ingest path: a 520-statement workload with interleaved votes, accepts,
 // automatic+explicit checkpoints, and retirement-driven compactions,
-// driven once through a per-record serial session (batch 1, no
-// speculation, one statement per request) and once through a batched +
-// speculating session (batch 32, 4 pipeline workers, up to 64 statements
-// per request). Everything observable must be bit-identical: total work
-// and transition cost to the float bit, the recommendation, the WAL
-// sequence (same records in the same order, compactions included), and
-// the full exported tuner state. Run under -race this also exercises the
-// speculation workers against the live apply loop.
+// driven once through a per-record serial session (batch 1, one
+// statement per request) and once through a batched session (batch 32,
+// up to 64 statements per request). Everything observable must be
+// bit-identical: total work and transition cost to the float bit, the
+// recommendation, the WAL sequence (same records in the same order,
+// compactions included), and the full exported tuner state. Run under
+// -race this also exercises the batched apply loop against concurrent
+// clients.
 func TestBatchedPipelineBitIdentical(t *testing.T) {
 	const total = 520
 	sqls := recoveryWorkloadSQL(t, total)
 	cat, _ := datagen.Build()
 
 	serialDir := filepath.Join(t.TempDir(), "serial")
-	serial, err := CreateSession(serialDir, cat, pipelineSessionConfig("diff", 1, 0))
+	serial, err := CreateSession(serialDir, cat, pipelineSessionConfig("diff", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestBatchedPipelineBitIdentical(t *testing.T) {
 	drivePipeline(t, serial, sqls, 0, total, 1)
 
 	batchedDir := filepath.Join(t.TempDir(), "batched")
-	batched, err := CreateSession(batchedDir, cat, pipelineSessionConfig("diff", 32, 4))
+	batched, err := CreateSession(batchedDir, cat, pipelineSessionConfig("diff", 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,18 +127,15 @@ func TestBatchedPipelineBitIdentical(t *testing.T) {
 		t.Fatalf("full tuner states diverged between serial and batched sessions")
 	}
 
-	// The batched session must actually have batched and speculated —
-	// otherwise this test silently degenerates into serial-vs-serial.
+	// The batched session must actually have batched — otherwise this
+	// test silently degenerates into serial-vs-serial.
 	if bs.GroupCommits == 0 || bs.GroupCommitRecords <= bs.GroupCommits {
 		t.Fatalf("no real group commits happened: %d commits over %d records",
 			bs.GroupCommits, bs.GroupCommitRecords)
 	}
-	if bs.SpecHits == 0 {
-		t.Fatalf("speculation never hit (%d misses) — the pipelined path went untested", bs.SpecMisses)
-	}
-	t.Logf("batched: %d group commits over %d records (%.1f avg), speculation %d hits / %d misses",
+	t.Logf("batched: %d group commits over %d records (%.1f avg)",
 		bs.GroupCommits, bs.GroupCommitRecords,
-		float64(bs.GroupCommitRecords)/float64(bs.GroupCommits), bs.SpecHits, bs.SpecMisses)
+		float64(bs.GroupCommitRecords)/float64(bs.GroupCommits))
 }
 
 // TestGroupCommitCrashWindow models a kill -9 landing in the window
@@ -155,7 +151,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 
 	// Control: applies everything live.
 	controlDir := filepath.Join(t.TempDir(), "control")
-	control, err := CreateSession(controlDir, cat, pipelineSessionConfig("cw", 32, 2))
+	control, err := CreateSession(controlDir, cat, pipelineSessionConfig("cw", 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +162,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 	// window is reconstructed on its WAL — a group commit whose records
 	// were durable but unapplied.
 	crashDir := filepath.Join(t.TempDir(), "crash")
-	victim, err := CreateSession(crashDir, cat, pipelineSessionConfig("cw", 32, 2))
+	victim, err := CreateSession(crashDir, cat, pipelineSessionConfig("cw", 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +184,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, err := OpenSession(crashDir, cat, SessionRuntime{Batch: 32, Pipeline: 2})
+	recovered, err := OpenSession(crashDir, cat, SessionRuntime{Batch: 32})
 	if err != nil {
 		t.Fatalf("recovering: %v", err)
 	}
@@ -212,7 +208,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 func TestIngestParseErrorAtomic(t *testing.T) {
 	sqls := recoveryWorkloadSQL(t, 10)
 	cat, _ := datagen.Build()
-	sess, err := CreateSession(filepath.Join(t.TempDir(), "atomic"), cat, pipelineSessionConfig("atomic", 32, 2))
+	sess, err := CreateSession(filepath.Join(t.TempDir(), "atomic"), cat, pipelineSessionConfig("atomic", 32))
 	if err != nil {
 		t.Fatal(err)
 	}

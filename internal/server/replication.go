@@ -197,11 +197,10 @@ func (sv *Server) InstallSnapshot(data []byte) (*Session, error) {
 		return nil, err
 	}
 	sess, err := OpenSession(dir, sv.cat, SessionRuntime{
-		Fsync:    sv.cfg.Fsync,
-		Batch:    sv.cfg.Batch,
-		Pipeline: sv.cfg.Pipeline,
-		Hooks:    sv.cfg.WALHooks,
-		Metrics:  sv.cfg.Metrics,
+		Fsync:   sv.cfg.Fsync,
+		Batch:   sv.cfg.Batch,
+		Hooks:   sv.cfg.WALHooks,
+		Metrics: sv.cfg.Metrics,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: opening installed snapshot: %w", err)

@@ -42,13 +42,11 @@ type Config struct {
 	CheckpointBytes int64
 	// Fsync syncs WALs to stable storage per append.
 	Fsync bool
-	// Batch and Pipeline default new sessions' group-commit record bound
-	// and speculative-analysis worker count (zero: 1 and 0; see
-	// SessionConfig). Like Fsync they also apply to recovered sessions —
-	// they are properties of the serving process, not of the persisted
-	// state, and never change the tuner trajectory.
-	Batch    int
-	Pipeline int
+	// Batch defaults new sessions' group-commit record bound (zero: 1;
+	// see SessionConfig). Like Fsync it also applies to recovered
+	// sessions — it is a property of the serving process, not of the
+	// persisted state, and never changes the tuner trajectory.
+	Batch int
 	// NewShipper, when set, attaches a replication stream to every
 	// session (created and recovered): the factory receives the session's
 	// name and directory, the sequence number its snapshot covers, and
@@ -158,11 +156,10 @@ func (sv *Server) sessionsRoot() string {
 // the session's name and directory.
 func (sv *Server) runtime(name, dir string) SessionRuntime {
 	rt := SessionRuntime{
-		Fsync:    sv.cfg.Fsync,
-		Batch:    sv.cfg.Batch,
-		Pipeline: sv.cfg.Pipeline,
-		Hooks:    sv.cfg.WALHooks,
-		Metrics:  sv.cfg.Metrics,
+		Fsync:   sv.cfg.Fsync,
+		Batch:   sv.cfg.Batch,
+		Hooks:   sv.cfg.WALHooks,
+		Metrics: sv.cfg.Metrics,
 	}
 	if sv.cfg.NewShipper != nil {
 		rt.NewShipper = func(base uint64, tail []state.Record) Shipper {
@@ -193,9 +190,6 @@ func (sv *Server) applyServerDefaults(cfg *SessionConfig) {
 	}
 	if cfg.Batch == 0 {
 		cfg.Batch = sv.cfg.Batch
-	}
-	if cfg.Pipeline == 0 {
-		cfg.Pipeline = sv.cfg.Pipeline
 	}
 	if cfg.Tuner == "" {
 		cfg.Tuner = sv.cfg.DefaultTuner

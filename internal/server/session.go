@@ -10,9 +10,12 @@
 // This is a deliberate deviation from a single shared optimizer — registry
 // ID assignment must be deterministic per session for recovery to be
 // bit-identical (IDs order work-function bits and break score ties), and
-// the optimizer's cache keys configurations by those IDs. The
-// concurrency-safe optimizer still earns its keep inside a session, where
-// the analysis pipeline fans IBG construction across workers.
+// the tuner's work functions and statistics key on those IDs. Within a
+// session the single-writer loop applies events one at a time; the only
+// concurrency is inside one statement's analysis, which fans IBG
+// construction, the statistics pass, and the work-function updates
+// across core.Options.Workers goroutines over the concurrency-safe
+// what-if optimizer.
 package server
 
 import (
@@ -22,7 +25,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -109,14 +111,6 @@ type SessionConfig struct {
 	// trajectory are identical to per-record commits (default 1, the
 	// pre-batching behavior).
 	Batch int
-	// Pipeline is the number of worker goroutines that speculatively run
-	// the read-only analysis phase (candidate peek, IBG construction,
-	// what-if probing) for statements queued behind the apply cursor
-	// within a group. Each speculation is validated against the tuner's
-	// change epoch at apply time and recomputed serially on a miss, so
-	// any setting produces bit-identical trajectories. 0 disables
-	// speculation; negative means one worker per CPU.
-	Pipeline int
 }
 
 // NameSeed derives a session's default partition-randomness seed from its
@@ -146,9 +140,6 @@ func (c *SessionConfig) applyDefaults() {
 	}
 	if c.Batch == 0 {
 		c.Batch = 1
-	}
-	if c.Pipeline < 0 {
-		c.Pipeline = runtime.NumCPU()
 	}
 	if c.Tuner == "" {
 		c.Tuner = tuner.KindWFIT
@@ -264,16 +255,11 @@ type SessionStatus struct {
 	PairWindows    int `json:"pair_windows"`
 	Retired        int `json:"retired"`
 	// Throughput gauges (see README "Throughput & batching"): the
-	// configured knobs, the number of WAL group commits and the records
-	// they covered (records/commits = achieved batch size), and how often
-	// the speculative analysis pipeline's work was consumed at apply time
-	// versus recomputed.
+	// configured batch bound, and the number of WAL group commits and the
+	// records they covered (records/commits = achieved batch size).
 	Batch              int   `json:"batch"`
-	Pipeline           int   `json:"pipeline"`
 	GroupCommits       int64 `json:"group_commits"`
 	GroupCommitRecords int64 `json:"group_commit_records"`
-	SpecHits           int64 `json:"spec_hits"`
-	SpecMisses         int64 `json:"spec_misses"`
 	// What-if gauge: the tuner's optimizer invocations; and how many
 	// checkpoints the session has taken (each one a snapshot + WAL
 	// truncation).
@@ -309,9 +295,7 @@ type Session struct {
 	closed bool
 
 	// mu guards the tuner and every counter below. The ingest loop holds
-	// it per drained batch; read endpoints hold it briefly. Speculative
-	// analysis goroutines run WITHOUT it — they touch only state captured
-	// at launch plus the concurrency-safe registry and what-if optimizer.
+	// it per drained batch; read endpoints hold it briefly.
 	mu             sync.Mutex
 	tuner          tuner.Engine
 	wal            *state.WAL
@@ -327,8 +311,6 @@ type Session struct {
 	// Throughput gauges (guarded by mu).
 	groupCommits int64
 	groupRecords int64
-	specHits     int64
-	specMisses   int64
 	checkpoints  int64
 
 	// maxOffered (followers only, guarded by mu) is the highest primary
@@ -458,13 +440,12 @@ func CreateSessionWith(dir string, cat *catalog.Catalog, cfg SessionConfig, rt S
 
 // SessionRuntime carries the per-process knobs a recovered session takes
 // from the daemon's flags rather than from its snapshot: durability
-// (fsync) and throughput (batch, pipeline) are operational choices of the
-// serving process, not persisted tuner state — and none of them changes
-// the tuner trajectory.
+// (fsync) and throughput (batch) are operational choices of the serving
+// process, not persisted tuner state — and neither changes the tuner
+// trajectory.
 type SessionRuntime struct {
-	Fsync    bool
-	Batch    int
-	Pipeline int
+	Fsync bool
+	Batch int
 	// NewShipper, when set, attaches a replication stream to the session.
 	// The factory receives the sequence number the session's snapshot
 	// already covers and the WAL tail replayed past it — the backlog a
@@ -548,7 +529,6 @@ func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session,
 		CheckpointBytes: snap.Session.CheckpointBytes,
 		Fsync:           rt.Fsync,
 		Batch:           rt.Batch,
-		Pipeline:        rt.Pipeline,
 	}
 	// applyDefaults only; deliberately no validate(): a pre-validation
 	// session may have persisted knobs the rules now reject (e.g. a
@@ -624,8 +604,7 @@ func (s *Session) replay(rec state.Record) error {
 		if err != nil {
 			return fmt.Errorf("replaying statement (seq %d): %w", rec.Seq, err)
 		}
-		st.ID = s.statements + 1
-		s.applyStatement(st, nil, nil)
+		s.applyStatement(st, nil)
 	case state.RecVote:
 		plus, minus, err := s.resolveSpecs(rec.Plus, rec.Minus)
 		if err != nil {
@@ -720,8 +699,7 @@ type event struct {
 // drained jobs into an event stream, then repeatedly: cuts the longest
 // prefix that ends no later than the next checkpoint boundary (and within
 // the Batch bound), group-commits those WAL records with one
-// flush(+fsync), applies them in order — speculatively analyzing queued
-// statements on the pipeline workers — and checkpoints if the cut ended
+// flush(+fsync), applies them in order, and checkpoints if the cut ended
 // at a boundary. Cutting at checkpoint boundaries is what keeps the WAL
 // byte stream identical to per-record commits: a registry-compaction
 // record still lands exactly where an unbatched session would have logged
@@ -739,11 +717,8 @@ func (s *Session) applyBatch(jobs []*job) {
 	// Flatten to events. Votes are validated against the catalog up
 	// front — without interning — so a malformed vote is rejected before
 	// anything of it is logged or applied, exactly as the per-record path
-	// rejected it before its append. Statement IDs are pre-assigned here,
-	// while nothing else can touch the statements: the apply path must
-	// not write st.ID later, when a speculative Run may be reading it.
+	// rejected it before its append.
 	events := make([]event, 0, len(jobs))
-	nextID := s.statements
 	for _, j := range jobs {
 		if s.obsv != nil && !j.enq.IsZero() {
 			j.queueWait = time.Since(j.enq)
@@ -759,8 +734,6 @@ func (s *Session) applyBatch(jobs []*job) {
 			}
 			j.results = make([]StatementResult, 0, len(j.sts))
 			for i, st := range j.sts {
-				nextID++
-				st.ID = nextID
 				events = append(events, event{
 					j: j, st: st,
 					rec:  state.Record{Type: state.RecStatement, SQL: j.sqls[i]},
@@ -826,15 +799,13 @@ func (s *Session) applyBatch(jobs []*job) {
 			s.shipper.Commit(recs) //nolint:errcheck // counted in ShipperStats.Errors
 		}
 
-		cp := s.newChunkPipeline(n)
 		for k := range chunk {
-			cp.advance(s, chunk, k)
 			ev := &chunk[k]
 			switch ev.j.kind {
 			case jobStmt:
 				sh := shares
 				sh.queueUS = ev.j.queueWait.Seconds() * 1e6
-				ev.j.results = append(ev.j.results, s.applyStatement(ev.st, cp.task(k), &sh))
+				ev.j.results = append(ev.j.results, s.applyStatement(ev.st, &sh))
 			case jobVote:
 				// Pre-validated above, so resolution cannot fail; interning
 				// happens here, at the vote's position in the event order.
@@ -843,7 +814,6 @@ func (s *Session) applyBatch(jobs []*job) {
 					// Unreachable by construction; poison loudly rather
 					// than diverge from the WAL silently.
 					s.broken = fmt.Errorf("server: vote resolution after validation: %w", err)
-					cp.finish()
 					fail(i+k, s.broken)
 					return
 				}
@@ -855,9 +825,6 @@ func (s *Session) applyBatch(jobs []*job) {
 				s.replyDone(ev.j)
 			}
 		}
-		// Reap abandoned speculations before a checkpoint may compact the
-		// registry.
-		cp.finish()
 
 		if due {
 			var err error
@@ -937,167 +904,41 @@ func (s *Session) validateVote(j *job) error {
 	return nil
 }
 
-// specTask is one in-flight speculative analysis. consumed is touched
-// only by the apply loop (under mu), never by the worker.
-type specTask struct {
-	a        tuner.Analysis
-	done     chan struct{}
-	consumed bool
-}
-
-// chunkPipeline runs the speculative analyses of one chunk: a worker pool
-// fed by a sliding capture window that stays at most Pipeline statements
-// ahead of the apply cursor. Keeping the window narrow is what keeps the
-// hit rate high — a capture is never more than Pipeline-1 applies old, so
-// an invalidating apply (new interned candidate, repartition, accept)
-// dooms at most the in-flight window, and every statement behind it is
-// re-captured against the post-change state instead of being written off
-// with the rest of the chunk.
-type chunkPipeline struct {
-	tasks []*specTask // index-aligned with the chunk's events (nil for non-stmt)
-	feed  chan *specTask
-	width int
-	next  int // next chunk index the window may capture
-}
-
-// newChunkPipeline starts the worker pool for a chunk of n events, or
-// returns nil when speculation is disabled.
-func (s *Session) newChunkPipeline(n int) *chunkPipeline {
-	width := s.cfg.Pipeline
-	if width <= 0 || n < 2 {
-		return nil
-	}
-	cp := &chunkPipeline{
-		tasks: make([]*specTask, n),
-		feed:  make(chan *specTask, n),
-		width: width,
-	}
-	workers := width
-	if workers > n {
-		workers = n
-	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for t := range cp.feed {
-				t.a.Run()
-				close(t.done)
-			}
-		}()
-	}
-	return cp
-}
-
-// advance tops the capture window up to cursor+width. Must run under mu:
-// BeginAnalysis snapshots the tuner's current epoch and context. The feed
-// channel is buffered to the chunk length, so the send never blocks.
-func (cp *chunkPipeline) advance(s *Session, chunk []event, cursor int) {
-	if cp == nil {
-		return
-	}
-	for cp.next < len(chunk) && cp.next < cursor+cp.width {
-		if chunk[cp.next].j.kind == jobStmt {
-			t := &specTask{a: s.tuner.BeginAnalysis(chunk[cp.next].st, 1), done: make(chan struct{})}
-			cp.tasks[cp.next] = t
-			cp.feed <- t
-		}
-		cp.next++
-	}
-}
-
-// task returns the speculative task for chunk index k, if any.
-func (cp *chunkPipeline) task(k int) *specTask {
-	if cp == nil {
-		return nil
-	}
-	return cp.tasks[k]
-}
-
-// finish stops the pool and reaps every launched-but-unconsumed task.
-// Callers must invoke it before any registry compaction (Analysis.Run
-// must never overlap an ID renumbering) and on every exit path of the
-// chunk apply loop.
-func (cp *chunkPipeline) finish() {
-	if cp == nil {
-		return
-	}
-	close(cp.feed)
-	for _, t := range cp.tasks {
-		if t != nil && !t.consumed {
-			<-t.done
-			t.a.Discard()
-			t.consumed = true
-		}
-	}
-}
-
-// applyStatement analyzes one statement — consuming a valid speculative
-// analysis when one is offered, recomputing serially otherwise — and
-// charges the total-work account: the statement's cost under the
-// currently materialized configuration, as the evaluation harness prices
-// runs. shares carries the statement's queue wait and group-commit
-// shares for the trace record; nil (replay, or instrumentation off)
-// records nothing.
-func (s *Session) applyStatement(st *stmt.Statement, spec *specTask, shares *stageShares) StatementResult {
-	// st.ID was assigned when the batch's events were built (or by
-	// replay) — never here: writing it now would race with an in-flight
-	// speculative Run reading the statement.
+// applyStatement analyzes one statement and charges the total-work
+// account: the statement's cost under the currently materialized
+// configuration, as the evaluation harness prices runs. The statement
+// takes the next ID in the session's statement order. shares carries the
+// statement's queue wait and group-commit shares for the trace record;
+// nil (replay, or instrumentation off) records nothing.
+func (s *Session) applyStatement(st *stmt.Statement, shares *stageShares) StatementResult {
 	var start time.Time
 	traced := s.obsv != nil && shares != nil
 	if traced {
 		start = time.Now()
 	}
 	s.statements++
-	specHit := false
-	switch {
-	case spec == nil:
-		s.tuner.AnalyzeQuery(st)
-	case s.tuner.AnalysisValid(spec.a):
-		// Worth waiting for: the capture is still current, so the Run's
-		// result will be consumed (nothing can invalidate it while we
-		// hold mu).
-		<-spec.done
-		if s.tuner.ApplyAnalysis(spec.a) {
-			s.specHits++
-			specHit = true
-		} else {
-			s.specMisses++
-		}
-		spec.consumed = true
-	default:
-		// Already stale — recompute immediately instead of waiting for a
-		// doomed Run; the join at the end of the chunk reaps it.
-		s.specMisses++
-		s.tuner.AnalyzeQuery(st)
-	}
+	st.ID = s.statements
+	s.tuner.AnalyzeQuery(st)
 	// Priced with the model, not the tuner's optimizer, so whatif_calls
 	// counts the tuner's probes only.
 	c := s.model.Cost(st, s.materialized)
 	s.totalWork += c
 	s.sinceCkpt++
 	if traced {
-		s.recordTrace(st, start, specHit, shares)
+		s.recordTrace(st, start, shares)
 	}
 	return StatementResult{ID: st.ID, Kind: st.Kind.String(), Cost: c}
 }
 
 // recordTrace builds the statement's trace record and feeds the
-// analysis/apply stage histograms. The analysis stage is the heavy
-// read-only Run wherever it executed (inline or on the speculative
-// pipeline); apply is the rest of the statement's time on the
-// serialized path — for speculative hits that includes any wait for
-// the concurrent Run, which is genuine apply-path stall.
-func (s *Session) recordTrace(st *stmt.Statement, start time.Time, specHit bool, shares *stageShares) {
+// analysis/apply stage histograms. The analysis stage is the tuner's
+// heavy run phase; apply is the rest of the statement's time (the
+// finish fold and pricing). The run happened inside the measured total,
+// so it is subtracted out and the two stages partition that time.
+func (s *Session) recordTrace(st *stmt.Statement, start time.Time, shares *stageShares) {
 	total := time.Since(start)
 	runDur, _ := s.tuner.LastAnalysisDurations()
-	apply := total
-	if !specHit {
-		// The run happened inline, inside total; subtract it out so the
-		// two stages partition the measured time.
-		apply -= runDur
-		if apply < 0 {
-			apply = 0
-		}
-	}
+	apply := max(total-runDur, 0)
 	analysisUS := runDur.Seconds() * 1e6
 	applyUS := apply.Seconds() * 1e6
 	s.obsv.hAnalysis.Observe(runDur.Seconds())
@@ -1112,7 +953,6 @@ func (s *Session) recordTrace(st *stmt.Statement, start time.Time, specHit bool,
 		AnalysisUS:  analysisUS,
 		ApplyUS:     applyUS,
 		WhatIfCalls: s.tuner.LastIBGNodes(),
-		SpecHit:     specHit,
 	})
 }
 
@@ -1218,8 +1058,8 @@ func (s *Session) submit(ctx context.Context, j *job) (jobReply, error) {
 // Ingest parses and analyzes a batch of SQL statements in order. Parse
 // errors fail the whole batch up front — nothing is applied or WAL-logged
 // (the documented ParseError contract); the parsed batch then travels as
-// ONE queued job, so the apply loop can group-commit its records and
-// pipeline its analysis instead of lock-stepping statement by statement.
+// ONE queued job, so the apply loop can group-commit its records instead
+// of lock-stepping statement by statement.
 // An apply error reports the statements that did land before it.
 func (s *Session) Ingest(ctx context.Context, sqls []string) ([]StatementResult, index.Set, error) {
 	if len(sqls) == 0 {
@@ -1307,11 +1147,8 @@ func (s *Session) Status() SessionStatus {
 		PairWindows:        es.PairWindows,
 		Retired:            es.Retired,
 		Batch:              s.cfg.Batch,
-		Pipeline:           s.cfg.Pipeline,
 		GroupCommits:       s.groupCommits,
 		GroupCommitRecords: s.groupRecords,
-		SpecHits:           s.specHits,
-		SpecMisses:         s.specMisses,
 		WhatIfCalls:        s.opt.Calls(),
 		Checkpoints:        s.checkpoints,
 	}

@@ -7,12 +7,11 @@
 // predicts the next benefit, and the recommendation is the top-k
 // super-arm by upper confidence bound, net of amortized creation cost.
 //
-// The engine honors every invariant the seam demands: analysis is split
-// into a speculative side-effect-free stage validated by (epoch,
-// registry length) capture, all randomness (an occasional ε-greedy
-// exploration draw) comes from interaction.Rand with its position in
-// the exported state, retirement and registry compaction mirror WFIT's,
-// and recovery from the kind-tagged snapshot payload is bit-identical.
+// The engine honors every invariant the seam demands: all randomness (an
+// occasional ε-greedy exploration draw) comes from interaction.Rand with
+// its position in the exported state, retirement and registry
+// compaction mirror WFIT's, and recovery from the kind-tagged snapshot
+// payload is bit-identical.
 package bandit
 
 import (
@@ -93,12 +92,6 @@ type Bandit struct {
 	lastIBGNodes  int
 	lastRunDur    time.Duration
 	lastFinishDur time.Duration
-
-	// epoch counts changes that invalidate a speculative Analysis:
-	// super-arm changes (the IBG evaluation context), materialization
-	// changes, feedback, and registry compactions. Registry growth is
-	// detected separately by length — see AnalysisValid.
-	epoch uint64
 }
 
 // New builds a fresh bandit engine against a what-if optimizer.
@@ -130,119 +123,51 @@ var _ tuner.Engine = (*Bandit)(nil)
 // Kind returns "bandit".
 func (t *Bandit) Kind() string { return Kind }
 
-// analysis is the speculative stage: candidate extraction, IBG build,
-// and per-arm benefit maximization, all side-effect-free against the
-// captured (epoch, registry length) state.
+// analysis carries one statement's evaluation from run to finish.
 type analysis struct {
-	t       *Bandit
-	st      *stmt.Statement
-	workers int
-	epoch   uint64
-	regLen  int
-	// evalBase is the captured super-arm ∪ materialized set the IBG is
-	// built over alongside the statement's own candidates.
-	evalBase index.Set
-
-	ran    bool
-	ok     bool
-	runDur time.Duration
-
 	extracted index.Set
 	used      []index.ID
 	benefits  []float64
 	nodes     int
 }
 
-// BeginAnalysis captures the evaluation context for s.
-func (t *Bandit) BeginAnalysis(s *stmt.Statement, workers int) tuner.Analysis {
+// AnalyzeQuery observes the next statement: run the evaluation, then
+// fold it into the engine.
+func (t *Bandit) AnalyzeQuery(s *stmt.Statement) {
+	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
+	start := time.Now()
+	a := t.run(s)
+	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
+	mid := time.Now()
+	t.finish(a)
+	t.lastRunDur = mid.Sub(start)
+	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
+	t.lastFinishDur = time.Since(mid)
+}
+
+// run is the evaluation: candidate extraction, the IBG build over the
+// statement's candidates plus the super-arm and materialized set, and
+// per-arm benefit maximization. It touches no engine state beyond
+// interning the statement's candidates.
+func (t *Bandit) run(s *stmt.Statement) analysis {
+	workers := t.options.Workers
 	if workers <= 0 {
 		workers = 1
 	}
-	return &analysis{
-		t:        t,
-		st:       s,
-		workers:  workers,
-		epoch:    t.epoch,
-		regLen:   t.reg.Len(),
-		evalBase: t.selection.Union(t.materialized),
-	}
-}
-
-// Run performs the speculative analysis without interning candidates or
-// touching engine state.
-func (a *analysis) Run() { a.run(false) }
-
-func (a *analysis) run(intern bool) {
-	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
-	start := time.Now()
-	a.ran = true
-	if intern {
-		a.extracted = a.t.extractor.Extract(a.st)
-	} else {
-		var known bool
-		a.extracted, known = a.t.extractor.Peek(a.st)
-		if !known {
-			// The statement mines a candidate the registry has not seen:
-			// interning is a mutation, so the speculation bails and the
-			// apply path re-runs serially.
-			a.ok = false
-			//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
-			a.runDur = time.Since(start)
-			return
-		}
-	}
-	eval := a.extracted.Union(a.evalBase)
-	g := ibg.BuildWorkers(a.t.opt, a.st, eval, a.workers)
-	a.nodes = g.NodeCount()
-	a.used = g.UsedUnion().IDs()
-	a.benefits, _ = g.Stats(math.Inf(1), a.workers)
+	extracted := t.extractor.Extract(s)
+	g := ibg.BuildWorkers(t.opt, s, extracted.Union(t.selection.Union(t.materialized)), workers)
+	a := analysis{extracted: extracted, nodes: g.NodeCount(), used: g.UsedUnion().IDs()}
+	a.benefits, _ = g.Stats(math.Inf(1), workers)
 	g.Release()
-	a.ok = true
-	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
-	a.runDur = time.Since(start)
+	return a
 }
 
-// Discard releases the analysis without applying it.
-func (a *analysis) Discard() {}
-
-// AnalysisValid reports whether a's capture still reflects the engine.
-func (t *Bandit) AnalysisValid(a tuner.Analysis) bool {
-	ba := a.(*analysis)
-	return ba.t == t && ba.epoch == t.epoch && ba.regLen == t.reg.Len()
-}
-
-// ApplyAnalysis folds a completed analysis into the engine; if the
-// speculation went stale or bailed, it re-analyzes serially. Either way
-// the resulting state is bit-identical to AnalyzeQuery on the same
-// statement.
-func (t *Bandit) ApplyAnalysis(a tuner.Analysis) bool {
-	ba := a.(*analysis)
-	if ba.ran && ba.ok && t.AnalysisValid(a) {
-		t.finishAnalysis(ba)
-		return true
-	}
-	fresh := t.BeginAnalysis(ba.st, ba.workers).(*analysis)
-	fresh.run(true)
-	t.finishAnalysis(fresh)
-	return false
-}
-
-// AnalyzeQuery is the serial path: capture, analyze, fold.
-func (t *Bandit) AnalyzeQuery(s *stmt.Statement) {
-	a := t.BeginAnalysis(s, t.options.Workers).(*analysis)
-	a.run(true)
-	t.finishAnalysis(a)
-}
-
-// finishAnalysis is the serialized fold: advance the statement clock,
-// grow the universe, update the regression from this statement's
-// observed benefits, retire idle arms, and recompute the super-arm.
-func (t *Bandit) finishAnalysis(a *analysis) {
-	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
-	start := time.Now()
+// finish is the fold: advance the statement clock, grow the universe,
+// update the regression from this statement's observed benefits, retire
+// idle arms, and recompute the super-arm.
+func (t *Bandit) finish(a analysis) {
 	t.n++
 	t.lastIBGNodes = a.nodes
-	t.lastRunDur = a.runDur
 	t.universe = t.universe.Union(a.extracted)
 
 	// Observe each used arm: the context vector is computed from the
@@ -256,8 +181,6 @@ func (t *Bandit) finishAnalysis(a *analysis) {
 
 	t.retire()
 	t.reselect()
-	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
-	t.lastFinishDur = time.Since(start)
 }
 
 // features builds the context vector for one arm.
@@ -337,8 +260,7 @@ type scoredArm struct {
 
 // reselect recomputes the super-arm: top-IdxCnt arms by UCB score net
 // of amortized creation cost, forced pins in, active bans out, plus an
-// occasional ε-greedy exploration arm. The epoch advances iff the
-// super-arm changed, invalidating in-flight speculation built over it.
+// occasional ε-greedy exploration arm.
 func (t *Bandit) reselect() {
 	pins := t.activeVotes(t.pinned)
 	bans := t.activeVotes(t.banned)
@@ -401,7 +323,6 @@ func (t *Bandit) reselect() {
 	if !sel.Equal(t.selection) {
 		t.selection = sel
 		t.reselections++
-		t.epoch++
 	}
 }
 
@@ -429,11 +350,9 @@ func (t *Bandit) Feedback(plus, minus index.Set) {
 // SetMaterialized informs the engine of the externally-materialized
 // configuration.
 func (t *Bandit) SetMaterialized(m index.Set) {
-	if m.Equal(t.materialized) {
-		return
+	if !m.Equal(t.materialized) {
+		t.materialized = m
 	}
-	t.materialized = m
-	t.epoch++
 }
 
 // Materialized returns the engine's view of the materialized set.
@@ -453,7 +372,6 @@ func (t *Bandit) CompactRegistry() int {
 	if dropped <= 0 {
 		return 0
 	}
-	t.epoch++
 	remap := t.reg.Compact(live)
 	t.s0 = t.s0.Remap(remap)
 	t.materialized = t.materialized.Remap(remap)

@@ -1,12 +1,12 @@
 // Package tuner defines the engine seam between the online tuning
 // algorithms and everything that drives them. An Engine is the full
-// session contract internal/server consumes — the Analyze/Apply
-// speculation split with epoch validation, recommendation and feedback,
-// materialized-set tracking, registry compaction, status gauges, and
-// versioned state export — and the same contract internal/bench drives
-// in-process. Engines register themselves in a process-global registry
-// keyed by kind, the string that names them in SessionConfig, the HTTP
-// create API, daemon flags, and the kind tag of v3 snapshots.
+// session contract internal/server consumes — per-statement analysis,
+// recommendation and feedback, materialized-set tracking, registry
+// compaction, status gauges, and versioned state export — and the same
+// contract internal/bench drives in-process. Engines register
+// themselves in a process-global registry keyed by kind, the string that
+// names them in SessionConfig, the HTTP create API, daemon flags, and
+// the kind tag of v3 snapshots.
 //
 // Every engine must be deterministic: a pure function of the statement
 // and feedback stream, drawing randomness only from interaction.Rand
@@ -26,20 +26,6 @@ import (
 	"repro/internal/whatif"
 )
 
-// Analysis is one in-flight statement analysis: the expensive,
-// side-effect-free stage of an engine's per-statement work (IBG
-// construction, what-if probes, work-function deltas), split off so the
-// server's pipeline can run it concurrently with earlier statements.
-// Run computes; Discard releases resources without applying. The engine
-// that issued the handle is the only one that can apply it.
-type Analysis interface {
-	// Run performs the speculative analysis. It must not mutate engine
-	// state and must not intern new indexes in the registry.
-	Run()
-	// Discard releases the analysis without applying it.
-	Discard()
-}
-
 // Core is the minimal tuning contract shared by every driver: the
 // current recommendation, the DBA feedback channel (§5 F+/F− votes),
 // and the externally-materialized set. bench.Algorithm embeds it, so
@@ -54,18 +40,6 @@ type Core interface {
 	// configuration its cost accounting should assume.
 	SetMaterialized(m index.Set)
 }
-
-// CostTuner is the priced-statement tuning contract the experiment
-// baselines implement (WFA+ under a fixed partition, BC): observe one
-// statement already priced by a StatementCost and update the internal
-// recommendation. This is the vestigial core.Tuner, folded into the
-// engine package.
-type CostTuner interface {
-	AnalyzeStatement(sc core.StatementCost)
-	Recommend() index.Set
-}
-
-var _ CostTuner = (*core.WFAPlus)(nil)
 
 // Status is the engine-generic gauge set surfaced through /status and
 // the wfit_session_* metrics. Engines without a notion for a gauge
@@ -88,9 +62,7 @@ type Status struct {
 }
 
 // Engine is the full tuner contract a server session drives. All
-// methods are single-goroutine except Analysis.Run on handles returned
-// by BeginAnalysis, which may run concurrently with BeginAnalysis calls
-// for later statements (but not with any mutating method).
+// methods are single-goroutine.
 type Engine interface {
 	Core
 
@@ -98,29 +70,15 @@ type Engine interface {
 	Kind() string
 
 	// AnalyzeQuery observes the next statement and updates all internal
-	// state: the serial path, equivalent to BeginAnalysis + Run + Apply.
+	// state.
 	AnalyzeQuery(s *stmt.Statement)
-
-	// BeginAnalysis captures everything the speculative stage needs and
-	// returns a handle whose Run may execute concurrently.
-	BeginAnalysis(s *stmt.Statement, workers int) Analysis
-
-	// AnalysisValid reports whether a still reflects the engine's
-	// current state (no epoch bump or registry growth since capture).
-	AnalysisValid(a Analysis) bool
-
-	// ApplyAnalysis folds a completed analysis into the engine. If the
-	// speculation went stale it transparently re-analyzes serially; the
-	// result is bit-identical either way. Reports whether the
-	// speculative result was usable.
-	ApplyAnalysis(a Analysis) bool
 
 	// Materialized returns the engine's view of the materialized set.
 	Materialized() index.Set
 
 	// CompactRegistry drops every registry entry the engine no longer
 	// references and remaps surviving IDs densely, returning the number
-	// of entries dropped. Invalidates in-flight analyses.
+	// of entries dropped.
 	CompactRegistry() int
 
 	// Status returns the engine's current gauge values.
@@ -131,8 +89,8 @@ type Engine interface {
 	LastIBGNodes() int
 
 	// LastAnalysisDurations reports wall-clock time of the last
-	// statement's speculative and apply stages (observability only; the
-	// values never influence tuning decisions).
+	// statement's run and finish stages (observability only; the values
+	// never influence tuning decisions).
 	LastAnalysisDurations() (run, finish time.Duration)
 
 	// ExportState captures the engine's complete state for a snapshot.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/state"
-	"repro/internal/stmt"
 	"repro/internal/whatif"
 )
 
@@ -35,9 +34,8 @@ func init() {
 }
 
 // WFIT adapts *core.WFIT to the Engine interface. The wrapper exists
-// only to align signatures — BeginAnalysis returns the concrete
-// *core.Analysis, ExportState the concrete *core.TunerState — and adds
-// no behavior; with it, every bit-identical recovery and differential
+// only to align signatures — ExportState returns the concrete
+// *core.TunerState — and adds no behavior; with it, every bit-identical recovery and differential
 // guarantee proved against core.WFIT transfers to the seam unchanged.
 type WFIT struct {
 	*core.WFIT
@@ -47,21 +45,6 @@ var _ Engine = WFIT{}
 
 // Kind returns "wfit".
 func (WFIT) Kind() string { return KindWFIT }
-
-// BeginAnalysis starts a speculative analysis (see core.WFIT.BeginAnalysis).
-func (e WFIT) BeginAnalysis(s *stmt.Statement, workers int) Analysis {
-	return e.WFIT.BeginAnalysis(s, workers)
-}
-
-// AnalysisValid reports whether a's capture is still current.
-func (e WFIT) AnalysisValid(a Analysis) bool {
-	return e.WFIT.AnalysisValid(a.(*core.Analysis))
-}
-
-// ApplyAnalysis folds a into the tuner, re-analyzing serially if stale.
-func (e WFIT) ApplyAnalysis(a Analysis) bool {
-	return e.WFIT.ApplyAnalysis(a.(*core.Analysis))
-}
 
 // Status reports the WFIT gauges: universe, partition shape, statistics
 // window counts, and retirement.
