@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/cost"
@@ -335,17 +336,23 @@ func (t *WFIT) chooseTop() index.Set {
 			entries = append(entries, scoredCandidate{a, t.idxStats.Current(a, t.n)})
 			return
 		}
-		if t.idxStats.Current(a, t.n) <= 0 {
+		cur, pen := t.idxStats.CurrentPair(a, t.n, t.reg.CreateCost(a))
+		if cur <= 0 {
 			return // never beneficial: not worth monitoring yet
 		}
-		entries = append(entries, scoredCandidate{a, t.idxStats.CurrentPenalized(a, t.n, t.reg.CreateCost(a))})
+		entries = append(entries, scoredCandidate{a, pen})
 	})
 	t.scoreScratch = entries
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].score != entries[j].score {
-			return entries[i].score > entries[j].score
+	// Score descending, then ID ascending: a total order, as IDs are
+	// unique, so any sort yields the same sequence.
+	slices.SortFunc(entries, func(x, y scoredCandidate) int {
+		if x.score != y.score {
+			if x.score > y.score {
+				return -1
+			}
+			return 1
 		}
-		return entries[i].id < entries[j].id
+		return cmp.Compare(x.id, y.id)
 	})
 	// Greedy fill with nested-family dedup: an index whose key columns
 	// nest with an already-chosen index on the same table is a
@@ -360,11 +367,9 @@ func (t *WFIT) chooseTop() index.Set {
 		}
 		def := t.reg.Get(entry.id)
 		redundant := false
-		d.Each(func(chosen index.ID) {
-			if index.Nested(def, t.reg.Get(chosen)) {
-				redundant = true
-			}
-		})
+		for x := 0; x < d.Len() && !redundant; x++ {
+			redundant = index.Nested(def, t.reg.Get(d.At(x)))
+		}
 		if !redundant {
 			d = d.Add(entry.id)
 			taken++

@@ -165,7 +165,7 @@ func (pt *refPartitioner) randomMerge(maxPart int) Partition {
 					return
 				}
 			}
-			e := mergeEdge{i: i, j: j, loss: l}
+			e := mergeEdge{i: i, j: j}
 			if si == 1 && sj == 1 {
 				e.weight = l
 				if !onlySingles {
@@ -332,6 +332,41 @@ func TestChooseMatchesReference(t *testing.T) {
 	}
 	if cases != 8*3*4*3 {
 		t.Fatalf("ran %d cases", cases)
+	}
+
+	// Restarts restore only the cross entries they changed, so every
+	// call must leave the scratch clean for the next. One Partitioner
+	// and one reference choose over a run of differently sized d in
+	// turn, each call starting from the matrix and row bitsets the
+	// previous size left; the last d is a near-complete doi graph at
+	// |d| = 64, whose rows use bit 63. MaxPartSize 1 allows no merge
+	// at all, not even of two singletons.
+	full := randomChooseCase(rng, 64, 8)
+	for i := 0; i < 64; i++ {
+		for j := i + 1; j < 64; j++ {
+			if a, b := full.d.At(i), full.d.At(j); rng.Float64() < 0.97 {
+				full.doi[MakePair(a, b)] = rng.Float64() * 100
+			}
+		}
+	}
+	for _, maxPart := range []int{1, 6} {
+		for _, stateCnt := range []int{0, 200} {
+			seed := rng.Int63()
+			r := NewRand(seed)
+			pt := &Partitioner{StateCnt: stateCnt, MaxPartSize: maxPart, RandCnt: 8, Rand: r}
+			ref := &refPartitioner{StateCnt: stateCnt, MaxPartSize: maxPart, RandCnt: 8, Rand: NewRand(seed)}
+			run := []chooseCase{randomChooseCase(rng, 70, 6), randomChooseCase(rng, 40, 6), randomChooseCase(rng, 130, 6), randomChooseCase(rng, 5, 6), full, full}
+			for k, c := range run {
+				name := fmt.Sprintf("maxPart=%d/stateCnt=%d/call %d (|d|=%d)", maxPart, stateCnt, k, c.d.Len())
+				got := pt.Choose(c.d, c.current, testDoi(c.doi))
+				if want := ref.Choose(c.d, c.current, testDoi(c.doi)); !got.EqualNormalized(want) {
+					t.Fatalf("%s: Choose = %v, reference %v", name, got, want)
+				}
+				if st, wst := r.State(), ref.Rand.(*Rand).State(); st != wst {
+					t.Fatalf("%s: random stream at %d, reference at %d", name, st, wst)
+				}
+			}
+		}
 	}
 }
 

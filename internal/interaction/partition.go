@@ -219,18 +219,20 @@ type Partitioner struct {
 
 	// scratch reused across Choose calls
 	ids      []index.ID // d in ascending order: position p is ids[p]
+	words    int        // uint64 words per row bitset: ⌈|d|/64⌉
 	doi      []float64  // symmetric n×n doi matrix over positions
-	baseRows []uint64   // per-position bitmask of positive-doi partners (n ≤ 64)
-	cross    []float64  // restart's symmetric cross-loss matrix by slot
-	rows     []uint64
-	size     []int // restart's part size per slot, 0 once merged away
-	live     []int // restart's unmerged slots, ascending
-	owner    []int // slot a part was merged into, then each position's slot
+	cross    []float64  // restart's cross-loss matrix by slot; doi between restarts
+	undo     []int      // cross entries the running restart changed
+	baseRows []uint64   // per-position positive-doi partner bitsets, then positions with any
+	rows     []uint64   // restart's copy of baseRows, by slot
+	size     []int      // restart's part size per slot, 0 once merged away
+	owner    []int      // slot a part was merged into, then each position's slot
 	cursor   []int
 	covered  []bool
 	members  []int // the candidate partition's positions, part by part
 	bounds   []int // part k is members[bounds[k]:bounds[k+1]]
 	setIDs   []index.ID
+	pairs    []mergeEdge // positive-doi position pairs, ascending, weighted by doi
 	edges    []mergeEdge
 }
 
@@ -249,17 +251,21 @@ func (pt *Partitioner) Choose(d index.Set, current Partition, doi DoiFunc) Parti
 	for p := range ids {
 		ids[p] = d.At(p)
 	}
-	useRows := n <= 64
-	if useRows {
-		clear(pt.baseRows)
-	}
+	w := pt.words
+	clear(pt.baseRows)
+	busy := pt.baseRows[n*w:]
+	pt.pairs = pt.pairs[:0]
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			l := doi(ids[i], ids[j])
 			pt.doi[i*n+j], pt.doi[j*n+i] = l, l
-			if useRows && l > 0 {
-				pt.baseRows[i] |= 1 << j
-				pt.baseRows[j] |= 1 << i
+			pt.cross[i*n+j], pt.cross[j*n+i] = l, l
+			if l > 0 {
+				pt.pairs = append(pt.pairs, mergeEdge{i: i, j: j, weight: l})
+				pt.baseRows[i*w+j>>6] |= 1 << (j & 63)
+				pt.baseRows[j*w+i>>6] |= 1 << (i & 63)
+				busy[i>>6] |= 1 << (i & 63)
+				busy[j>>6] |= 1 << (j & 63)
 			}
 		}
 	}
@@ -327,14 +333,13 @@ func (pt *Partitioner) Choose(d index.Set, current Partition, doi DoiFunc) Parti
 
 // reserve sizes the scratch for n candidates.
 func (pt *Partitioner) reserve(n int) {
+	pt.words = (n + 63) / 64
 	if cap(pt.ids) < n {
 		pt.ids = make([]index.ID, n)
 		pt.doi = make([]float64, n*n)
 		pt.cross = make([]float64, n*n)
-		pt.baseRows = make([]uint64, n)
-		pt.rows = make([]uint64, n)
+		pt.baseRows = make([]uint64, (n+1)*pt.words)
 		pt.size = make([]int, n)
-		pt.live = make([]int, n)
 		pt.owner = make([]int, n)
 		pt.cursor = make([]int, n)
 		pt.covered = make([]bool, n)
@@ -343,7 +348,8 @@ func (pt *Partitioner) reserve(n int) {
 	}
 	pt.ids = pt.ids[:n]
 	pt.doi = pt.doi[:n*n]
-	pt.baseRows = pt.baseRows[:n]
+	pt.cross = pt.cross[:n*n]
+	pt.baseRows = pt.baseRows[:(n+1)*pt.words]
 	pt.size = pt.size[:n]
 	pt.owner = pt.owner[:n]
 	pt.cursor = pt.cursor[:n]
@@ -408,124 +414,112 @@ func (pt *Partitioner) partition() Partition {
 // randomMerge runs one randomized merging pass from the singleton start
 // state over n positions and leaves its result in members/bounds: parts
 // ordered by smallest position, members ascending.
+//
+// Merging two singletons leaves the state count at 2n, so it is feasible
+// in every round or in none. While such merges exist they are the only
+// candidates, weighted by their doi, and no merge creates one: the first
+// phase picks from the positive-doi pairs and drops those a merge touched.
+// The second phase rebuilds its candidates every round. Each slot's row
+// bitset names its positive-loss partners, so a round visits only slots
+// with a partner and, for each, only the partners above it, in the order
+// a full scan would meet them. Losses are sums of non-negative doi, so
+// positivity is monotone under merging and the rows just OR. A merge
+// changes the cross loss with i only for j's partners: for any other
+// slot k, cross[j][k] is 0 and the sum would keep cross[i][k] as it is.
 func (pt *Partitioner) randomMerge(n, maxPart int) {
-	size, owner := pt.size, pt.owner
-	live := pt.live[:n]
+	size, owner, cross, w := pt.size, pt.owner, pt.cross, pt.words
 	for i := range size {
 		size[i] = 1
-		live[i] = i
 	}
 	states := n * 2
-	// cross[i*n+j] = cross[j*n+i] caches the cross loss of the parts in
-	// slots i and j, seeded from the doi matrix.
-	cross := append(pt.cross[:0], pt.doi...)
-	pt.cross = cross
-	// With n ≤ 64 parts, each part carries a bitmask of its positive-loss
-	// partners, so the per-round candidate scan touches only interacting
-	// pairs instead of all n²/2 — losses are sums of non-negative doi, so
-	// positivity is monotone under merging and the masks just OR.
-	useRows := n <= 64
-	var aliveMask uint64
-	var rows []uint64
-	if useRows {
-		rows = append(pt.rows[:0], pt.baseRows...)
-		pt.rows = rows
-		if n == 64 {
-			aliveMask = ^uint64(0)
-		} else {
-			aliveMask = 1<<n - 1
-		}
-	}
-
-	for {
-		candidates := pt.edges[:0]
-		onlySingles := false
-		addEdge := func(i, j int, l float64) {
-			si, sj := size[i], size[j]
-			if si+sj > maxPart {
-				return
-			}
-			if pt.StateCnt > 0 {
-				newStates := states - (1 << si) - (1 << sj) + (1 << (si + sj))
-				if newStates > pt.StateCnt {
-					return
-				}
-			}
-			e := mergeEdge{i: i, j: j, loss: l}
-			if si == 1 && sj == 1 {
-				e.weight = l
-				if !onlySingles {
-					onlySingles = true
-					candidates = candidates[:0]
-				}
-				candidates = append(candidates, e)
-			} else if !onlySingles {
-				denom := float64(int(1)<<(si+sj) - int(1)<<si - int(1)<<sj)
-				e.weight = l / denom
-				candidates = append(candidates, e)
-			}
-		}
-		for x, i := range live {
-			row := cross[i*n : i*n+n]
-			if useRows {
-				for m := rows[i] & aliveMask & (^uint64(0) << (i + 1)); m != 0; m &= m - 1 {
-					j := bits.TrailingZeros64(m)
-					addEdge(i, j, row[j])
-				}
-			} else {
-				for _, j := range live[x+1:] {
-					if l := row[j]; l > 0 {
-						addEdge(i, j, l)
-					}
-				}
-			}
-		}
-		pt.edges = candidates
-		if len(candidates) == 0 {
-			break
-		}
-		pick := weightedPick(candidates, pt.Rand)
-		i, j := candidates[pick].i, candidates[pick].j
-		// Merge j into i (i < j).
+	rows := append(pt.rows[:0], pt.baseRows...)
+	pt.rows = rows
+	busy := rows[n*w:]
+	merge := func(i, j int) { // j into i, i < j
 		si, sj := size[i], size[j]
 		states += (1 << (si + sj)) - (1 << si) - (1 << sj)
 		size[i], size[j] = si+sj, 0
 		owner[j] = i
-		x, _ := slices.BinarySearch(live, j)
-		live = slices.Delete(live, x, x+1)
-		for _, k := range live {
-			if k == i {
-				continue
+		busy[j>>6] &^= 1 << (j & 63)
+		ri, rj := rows[i*w:i*w+w], rows[j*w:j*w+w]
+		for x, m := range rj {
+			ri[x] |= m
+			for ; m != 0; m &= m - 1 {
+				k := x<<6 | bits.TrailingZeros64(m)
+				if k == i {
+					continue
+				}
+				rows[k*w+j>>6] &^= 1 << (j & 63)
+				rows[k*w+i>>6] |= 1 << (i & 63)
+				merged := cross[i*n+k] + cross[j*n+k]
+				cross[i*n+k], cross[k*n+i] = merged, merged
+				pt.undo = append(pt.undo, i*n+k, k*n+i)
 			}
-			merged := cross[i*n+k] + cross[j*n+k]
-			cross[i*n+k], cross[k*n+i] = merged, merged
 		}
-		if useRows {
-			aliveMask &^= 1 << j
-			rows[i] = (rows[i] | rows[j]) &^ (1<<i | 1<<j)
-			for m := rows[j] & aliveMask &^ (1 << i); m != 0; m &= m - 1 {
-				k := bits.TrailingZeros64(m)
-				rows[k] = rows[k]&^(1<<j) | 1<<i
-			}
-		}
+		ri[i>>6] &^= 1 << (i & 63)
+		ri[j>>6] &^= 1 << (j & 63)
 	}
 
+	candidates := pt.edges[:0]
+	if maxPart >= 2 && (pt.StateCnt <= 0 || states <= pt.StateCnt) {
+		candidates = append(candidates, pt.pairs...)
+	}
+	for len(candidates) > 0 {
+		e := candidates[weightedPick(candidates, pt.Rand)]
+		merge(e.i, e.j)
+		candidates = slices.DeleteFunc(candidates, func(c mergeEdge) bool {
+			return c.i == e.i || c.i == e.j || c.j == e.i || c.j == e.j
+		})
+	}
+	for {
+		candidates = candidates[:0]
+		for bx, bm := range busy {
+			for ; bm != 0; bm &= bm - 1 {
+				i := bx<<6 | bits.TrailingZeros64(bm)
+				row, ci := rows[i*w:i*w+w], cross[i*n:i*n+n]
+				for x := i >> 6; x < w; x++ {
+					m := row[x]
+					if x == i>>6 {
+						m &= ^uint64(0) << (i&63 + 1)
+					}
+					for ; m != 0; m &= m - 1 {
+						j := x<<6 | bits.TrailingZeros64(m)
+						si, sj := size[i], size[j]
+						if si+sj > maxPart || pt.StateCnt > 0 && states-(1<<si)-(1<<sj)+(1<<(si+sj)) > pt.StateCnt {
+							continue
+						}
+						denom := float64(int(1)<<(si+sj) - int(1)<<si - int(1)<<sj)
+						candidates = append(candidates, mergeEdge{i: i, j: j, weight: ci[j] / denom})
+					}
+				}
+			}
+		}
+		if len(candidates) == 0 {
+			break
+		}
+		e := candidates[weightedPick(candidates, pt.Rand)]
+		merge(e.i, e.j)
+	}
+	pt.edges = candidates
+	for _, x := range pt.undo {
+		cross[x] = pt.doi[x]
+	}
+	pt.undo = pt.undo[:0]
+
 	// Resolve each position's slot: a merged-away slot points at a lower
-	// one, already resolved in this ascending pass. Then lay the members
-	// out part by part, slots ascending.
+	// one, already resolved in this ascending pass. Parts are laid out
+	// slots ascending, then filled with their members.
+	pt.bounds = pt.bounds[:0]
+	next := 0
 	for p := 0; p < n; p++ {
 		if size[p] > 0 {
 			owner[p] = p
+			pt.bounds = append(pt.bounds, next)
+			pt.cursor[p] = next
+			next += size[p]
 		} else {
 			owner[p] = owner[owner[p]]
 		}
-	}
-	pt.bounds = pt.bounds[:0]
-	next := 0
-	for _, s := range live {
-		pt.bounds = append(pt.bounds, next)
-		pt.cursor[s] = next
-		next += size[s]
 	}
 	pt.bounds = append(pt.bounds, next)
 	pt.members = pt.members[:n]
@@ -539,7 +533,6 @@ func (pt *Partitioner) randomMerge(n, maxPart int) {
 // mergeEdge is a candidate merge of two parts during randomized search.
 type mergeEdge struct {
 	i, j   int
-	loss   float64
 	weight float64
 }
 

@@ -96,6 +96,39 @@ func (w *Window) CurrentPenalized(n int, penalty float64) float64 {
 	return best
 }
 
+// CurrentPair returns Current(n) and CurrentPenalized(n, penalty)
+// bit-for-bit, from one pass over the window: both running sums take the
+// same values in the same order as in the two separate passes.
+func (w *Window) CurrentPair(n int, penalty float64) (cur, pen float64) {
+	if len(w.pos) == 0 {
+		return 0, w.CurrentPenalized(n, penalty)
+	}
+	cur, pen = math.Inf(-1), math.Inf(-1)
+	// acc starts where CurrentPenalized(n, 0) starts: at −0.
+	acc, accPen := math.Copysign(0, -1), -penalty
+	for i := len(w.pos) - 1; i >= 0; i-- {
+		acc += w.vals[i]
+		accPen += w.vals[i]
+		denom := float64(n - w.pos[i] + 1)
+		if denom < 1 {
+			denom = 1
+		}
+		if v := acc / denom; v > cur {
+			cur = v
+		}
+		if v := accPen / denom; v > pen {
+			pen = v
+		}
+	}
+	if cur < 0 {
+		cur = 0
+	}
+	if penalty == 0 && pen < 0 {
+		pen = 0
+	}
+	return cur, pen
+}
+
 // LastPos returns the workload position of the most recent entry, or 0
 // for an empty window. Retirement sweeps use it to decide whether a
 // history has fully aged out of the benefit horizon.
@@ -148,13 +181,15 @@ func (s *BenefitStats) Current(a index.ID, n int) float64 {
 	return 0
 }
 
-// CurrentPenalized returns benefit*_N(a) with a one-time cost charged
-// against the accumulated benefit (see Window.CurrentPenalized).
-func (s *BenefitStats) CurrentPenalized(a index.ID, n int, penalty float64) float64 {
+// CurrentPair returns benefit*_N(a) and the same aggregate with a
+// one-time cost charged against the accumulated benefit, from one lookup
+// and one pass over a's window (see Window.CurrentPair). Without a
+// history they are 0 and −penalty.
+func (s *BenefitStats) CurrentPair(a index.ID, n int, penalty float64) (cur, pen float64) {
 	if w, ok := s.m[a]; ok {
-		return w.CurrentPenalized(n, penalty)
+		return w.CurrentPair(n, penalty)
 	}
-	return -penalty
+	return 0, -penalty
 }
 
 // Total returns the summed recorded benefit of a.

@@ -30,6 +30,10 @@ type StatementTrace struct {
 	// WhatIfCalls is the number of what-if optimizer probes the
 	// statement's analysis issued (its IBG node count).
 	WhatIfCalls int `json:"whatif_calls"`
+	// IBGTruncated reports that the statement's IBG hit the node cap
+	// (ibg.MaxNodes): its benefits, doi and work-function costs are
+	// approximate.
+	IBGTruncated bool `json:"ibg_truncated"`
 }
 
 // Dominant returns the name of the stage that consumed the largest

@@ -19,6 +19,7 @@ const (
 	metricIngestStage    = "wfit_ingest_stage_seconds"
 	metricCheckpoint     = "wfit_checkpoint_seconds"
 	metricSessionPrefix  = "wfit_session_"
+	metricIBGTruncations = "wfit_session_ibg_truncations_total"
 	metricFollowerLag    = "wfit_replication_follower_lag_records"
 	labelSession         = "session"
 	labelEngine          = "engine"
@@ -37,6 +38,10 @@ type sessionObs struct {
 	hApply    *obs.Histogram
 	hCkpt     *obs.Histogram
 	trace     *obs.TraceRing
+	// cTrunc counts statements whose IBG hit the node cap. It counts
+	// this process's applies and is not a /status field, so recovery's
+	// status comparisons do not see it.
+	cTrunc *obs.Counter
 }
 
 // newSessionObs resolves the session's instruments once, at session
@@ -47,6 +52,7 @@ func newSessionObs(reg *obs.Registry, name string) *sessionObs {
 	}
 	reg.Help(metricIngestStage, "Per-session ingest latency by pipeline stage (queue wait, WAL append, fsync, what-if analysis, apply).")
 	reg.Help(metricCheckpoint, "Checkpoint (snapshot + WAL truncation) duration.")
+	reg.Help(metricIBGTruncations, "Statements whose index benefit graph hit the node cap, so their analysis is approximate.")
 	stage := func(st string) *obs.Histogram {
 		return reg.Histogram(metricIngestStage, obs.Labels{labelSession, name, "stage", st}, obs.LatencyBuckets)
 	}
@@ -58,6 +64,7 @@ func newSessionObs(reg *obs.Registry, name string) *sessionObs {
 		hApply:    stage("apply"),
 		hCkpt:     reg.Histogram(metricCheckpoint, obs.Labels{labelSession, name}, obs.LatencyBuckets),
 		trace:     obs.NewTraceRing(traceRecentRetained, traceSlowestRetained),
+		cTrunc:    reg.Counter(metricIBGTruncations, obs.Labels{labelSession, name}),
 	}
 }
 

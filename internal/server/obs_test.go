@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/datagen"
+	"repro/internal/ibg"
 	"repro/internal/obs"
 	"repro/internal/state"
 )
@@ -319,6 +320,45 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	rig.call("GET", "/sessions/tr/trace?n=bogus", nil, http.StatusBadRequest, nil)
 	rig.call("GET", "/sessions/tr/trace?n=-1", nil, http.StatusBadRequest, nil)
+}
+
+// TestTraceFlagsIBGTruncation ingests the 5-way TPC-C join chain, whose
+// index benefit graph stops at ibg.MaxNodes, between two small queries:
+// only its trace carries ibg_truncated, and the session's truncation
+// counter reads 1.
+func TestTraceFlagsIBGTruncation(t *testing.T) {
+	rig, _ := newObsRig(t)
+	rig.call("POST", "/sessions", map[string]any{"name": "wide", "idx_cnt": 16, "state_cnt": 200}, http.StatusCreated, nil)
+	small := "SELECT count(*) FROM tpch.lineitem WHERE l_shipdate BETWEEN 100 AND 140"
+	wide := "SELECT count(*) FROM tpcc.orderline t0, tpcc.orders t1, tpcc.customer t2, tpcc.district t3, tpcc.warehouse t4" +
+		" WHERE t0.ol_delivery_d BETWEEN 100 AND 107 AND t0.ol_amount BETWEEN 10 AND 210" +
+		" AND t1.o_entry_d BETWEEN 100 AND 107 AND t1.o_ol_cnt BETWEEN 5 AND 5.2" +
+		" AND t2.c_balance BETWEEN 0 AND 550 AND t2.c_since BETWEEN 100 AND 158" +
+		" AND t3.d_ytd BETWEEN 0 AND 10000 AND t3.d_next_o_id BETWEEN 1 AND 200" +
+		" AND t4.w_tax BETWEEN 0 AND 0.002 AND t4.w_ytd BETWEEN 0 AND 200000" +
+		" AND t0.ol_o_id = t1.o_id AND t1.o_c_id = t2.c_id AND t2.c_d_id = t3.d_id AND t3.d_w_id = t4.w_id"
+	rig.call("POST", "/sessions/wide/sql", map[string]any{"sql": []string{small, wide, small}}, http.StatusOK, nil)
+
+	var tr traceResponse
+	rig.call("GET", "/sessions/wide/trace", nil, http.StatusOK, &tr)
+	if len(tr.Recent) != 3 {
+		t.Fatalf("got %d recent traces, want 3", len(tr.Recent))
+	}
+	for _, st := range tr.Recent {
+		if wantTrunc := st.ID == 2; st.IBGTruncated != wantTrunc || (st.WhatIfCalls >= ibg.MaxNodes) != wantTrunc {
+			t.Fatalf("trace %d: ibg_truncated=%v with %d what-if calls (cap %d)", st.ID, st.IBGTruncated, st.WhatIfCalls, ibg.MaxNodes)
+		}
+	}
+	key := promSample{name: metricIBGTruncations, labels: map[string]string{"session": "wide"}}.key()
+	for _, s := range scrapeMetrics(t, rig) {
+		if s.key() == key {
+			if s.value != 1 {
+				t.Fatalf("%s = %v, want 1", key, s.value)
+			}
+			return
+		}
+	}
+	t.Fatalf("no %s series", key)
 }
 
 // TestObservabilityOffByDefault pins the library default: no registry, no

@@ -32,6 +32,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/ibg"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/sqlmini"
@@ -943,16 +944,22 @@ func (s *Session) recordTrace(st *stmt.Statement, start time.Time, shares *stage
 	applyUS := apply.Seconds() * 1e6
 	s.obsv.hAnalysis.Observe(runDur.Seconds())
 	s.obsv.hApply.Observe(apply.Seconds())
+	whatIf := s.tuner.LastIBGNodes()
+	truncated := whatIf >= ibg.MaxNodes
+	if truncated {
+		s.obsv.cTrunc.Inc()
+	}
 	s.obsv.trace.Add(obs.StatementTrace{
-		ID:          st.ID,
-		SQL:         st.SQL,
-		TotalUS:     shares.queueUS + shares.walUS + shares.fsyncUS + analysisUS + applyUS,
-		QueueUS:     shares.queueUS,
-		WALUS:       shares.walUS,
-		FsyncUS:     shares.fsyncUS,
-		AnalysisUS:  analysisUS,
-		ApplyUS:     applyUS,
-		WhatIfCalls: s.tuner.LastIBGNodes(),
+		ID:           st.ID,
+		SQL:          st.SQL,
+		TotalUS:      shares.queueUS + shares.walUS + shares.fsyncUS + analysisUS + applyUS,
+		QueueUS:      shares.queueUS,
+		WALUS:        shares.walUS,
+		FsyncUS:      shares.fsyncUS,
+		AnalysisUS:   analysisUS,
+		ApplyUS:      applyUS,
+		WhatIfCalls:  whatIf,
+		IBGTruncated: truncated,
 	})
 }
 
